@@ -6,9 +6,9 @@
 
 Run it from the root of a checkout.  It configures and builds
 perfbench/CMakeLists.txt (the simulator's libraries from src/ plus the
-benchmark driver) into $CARGO_TARGET_DIR, or .bench_build when that is
-unset, then runs the driver.  Build output goes to stderr; the driver's
-last line of stdout is the JSON result.  The exit code is non-zero when
+benchmark program zerodeg_bench) into $CARGO_TARGET_DIR, or .bench_build
+when that is unset, then runs zerodeg_bench.  Build output goes to stderr;
+the last line of stdout is the JSON result.  The exit code is non-zero when
 the build fails, the run fails, or an output check fails.
 """
 import os
