@@ -13,7 +13,37 @@ namespace zdbench {
 namespace core = zerodeg::core;
 namespace ex = zerodeg::experiment;
 
-// --- journal decorator --------------------------------------------------------
+// --- journals in memory and their decorator -----------------------------------
+
+void MemFs::write_file(const std::filesystem::path& path, std::string_view content) {
+    const std::scoped_lock lock(mutex_);
+    files_[path] = std::string(content);
+}
+
+std::string MemFs::read_file(const std::filesystem::path& path) {
+    const std::scoped_lock lock(mutex_);
+    const auto it = files_.find(path);
+    if (it == files_.end()) throw core::Error("no such file: " + path.string());
+    return it->second;
+}
+
+bool MemFs::exists(const std::filesystem::path& path) {
+    const std::scoped_lock lock(mutex_);
+    return files_.contains(path);
+}
+
+void MemFs::rename(const std::filesystem::path& from, const std::filesystem::path& to) {
+    const std::scoped_lock lock(mutex_);
+    const auto it = files_.find(from);
+    if (it == files_.end()) throw core::Error("no such file: " + from.string());
+    files_[to] = std::move(it->second);
+    files_.erase(from);
+}
+
+void MemFs::remove(const std::filesystem::path& path) {
+    const std::scoped_lock lock(mutex_);
+    files_.erase(path);
+}
 
 void TimingFs::note(Clock::time_point t0, std::uint64_t bytes, bool write) {
     const auto t1 = Clock::now();
@@ -32,23 +62,23 @@ void TimingFs::note(Clock::time_point t0, std::uint64_t bytes, bool write) {
 
 void TimingFs::write_file(const std::filesystem::path& path, std::string_view content) {
     const auto t0 = Clock::now();
-    core::real_fs().write_file(path, content);
+    inner_.write_file(path, content);
     note(t0, content.size(), true);
 }
 
 std::string TimingFs::read_file(const std::filesystem::path& path) {
-    return core::real_fs().read_file(path);
+    return inner_.read_file(path);
 }
 
-bool TimingFs::exists(const std::filesystem::path& path) { return core::real_fs().exists(path); }
+bool TimingFs::exists(const std::filesystem::path& path) { return inner_.exists(path); }
 
 void TimingFs::rename(const std::filesystem::path& from, const std::filesystem::path& to) {
     const auto t0 = Clock::now();
-    core::real_fs().rename(from, to);
+    inner_.rename(from, to);
     note(t0, 0, false);
 }
 
-void TimingFs::remove(const std::filesystem::path& path) { core::real_fs().remove(path); }
+void TimingFs::remove(const std::filesystem::path& path) { inner_.remove(path); }
 
 FsStats TimingFs::stats() const {
     const std::scoped_lock lock(mutex_);
@@ -125,11 +155,12 @@ private:
 
 std::filesystem::path socket_path(const std::filesystem::path& dir) { return dir / "s"; }
 
-/// The merged journal's cells by index, decoded straight from disk.
-std::vector<std::optional<FaultCensus>> decode_merged(const std::filesystem::path& path,
+/// The merged journal's cells by index, decoded straight from its bytes.
+std::vector<std::optional<FaultCensus>> decode_merged(core::FileSystem& files,
+                                                      const std::filesystem::path& path,
                                                       std::size_t cells) {
     std::vector<std::optional<FaultCensus>> censuses(cells);
-    std::istringstream in(core::real_fs().read_file(path));
+    std::istringstream in(files.read_file(path));
     std::string line;
     while (std::getline(in, line)) {
         if (line.rfind("cell ", 0) != 0) continue;
@@ -142,21 +173,24 @@ std::vector<std::optional<FaultCensus>> decode_merged(const std::filesystem::pat
 }  // namespace
 
 OpenCampaign open_campaign(const ex::CensusPlan& plan, const std::filesystem::path& dir,
-                           CampaignMeters* meters) {
+                           SpanLog* spans) {
     OpenCampaign open;
     open.dir = dir;
+    open.journals = std::make_unique<MemFs>();
+    if (spans != nullptr) open.meters = std::make_unique<CampaignMeters>(*open.journals, *spans);
     ex::CoordinatorOptions opts;
-    if (meters != nullptr) opts.fs = &meters->merged;
+    opts.fs = open.journals.get();
+    if (open.meters) opts.fs = &open.meters->merged;
     open.service = std::make_unique<ex::CoordinatorService>(plan, ex::merged_journal_path(dir), opts);
     open.listener = core::listen_unix(socket_path(dir));
-    if (meters != nullptr) {
-        open.listener = std::make_unique<TimingListener>(std::move(open.listener), meters->net);
+    if (open.meters) {
+        open.listener = std::make_unique<TimingListener>(std::move(open.listener), open.meters->net);
     }
     return open;
 }
 
-CampaignOutcome serve_campaign(const ex::CensusPlan& plan, OpenCampaign& open,
-                               CampaignMeters* meters, double deadline_s) {
+CampaignOutcome serve_campaign(const ex::CensusPlan& plan, OpenCampaign& open, double deadline_s) {
+    CampaignMeters* const meters = open.meters.get();
     CampaignOutcome out;
     out.workers.resize(kCampaignWorkers);
     std::vector<std::string> errors(kCampaignWorkers + 1);
@@ -164,17 +198,16 @@ CampaignOutcome serve_campaign(const ex::CensusPlan& plan, OpenCampaign& open,
     std::atomic<std::size_t> finished{0};
     const std::filesystem::path socket = socket_path(open.dir);
 
+    // The listener is bound before any worker starts and closed when serve()
+    // returns, so a refused connection means the coordinator is gone.
     const auto dial = [socket, meters]() -> std::unique_ptr<core::Transport> {
-        for (int attempt = 0; attempt < 100; ++attempt) {
-            try {
-                std::unique_ptr<core::Transport> link = core::connect_unix(socket);
-                if (meters == nullptr) return link;
-                return std::make_unique<TimingTransport>(std::move(link), meters->net);
-            } catch (const core::TransportClosed&) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            }
+        try {
+            std::unique_ptr<core::Transport> link = core::connect_unix(socket);
+            if (meters == nullptr) return link;
+            return std::make_unique<TimingTransport>(std::move(link), meters->net);
+        } catch (const core::TransportClosed&) {
+            return nullptr;
         }
-        return nullptr;
     };
 
     const auto t0 = Clock::now();
@@ -185,6 +218,10 @@ CampaignOutcome serve_campaign(const ex::CensusPlan& plan, OpenCampaign& open,
         } catch (const std::exception& e) {
             errors[0] = std::string("coordinator: ") + e.what();
         }
+        // As when a coordinator process exits: a worker that missed DONE
+        // and redials is refused at once instead of waiting out handshakes
+        // on a listener nobody accepts from.
+        open.listener->close();
         ended[0] = Clock::now();
         ++finished;
     });
@@ -193,6 +230,7 @@ CampaignOutcome serve_campaign(const ex::CensusPlan& plan, OpenCampaign& open,
             try {
                 ex::WorkerOptions opts;
                 opts.reconnect = dial;
+                opts.fs = open.journals.get();
                 if (meters != nullptr) opts.fs = &meters->worker;
                 out.workers[k] = ex::run_worker(plan, ex::ShardSpec{k, 0},
                                                 ex::worker_journal_path(open.dir, k), dial(), opts);
@@ -223,7 +261,7 @@ CampaignOutcome serve_campaign(const ex::CensusPlan& plan, OpenCampaign& open,
     if (stopped) out.error += (out.error.empty() ? "" : "; ") + std::string("campaign timed out");
     open.listener->close();
     try {
-        out.censuses = decode_merged(ex::merged_journal_path(open.dir), plan.seeds);
+        out.censuses = decode_merged(*open.journals, ex::merged_journal_path(open.dir), plan.seeds);
     } catch (const std::exception& e) {
         out.censuses.assign(plan.seeds, std::nullopt);
         out.error += (out.error.empty() ? "" : "; ") + std::string("merged journal: ") + e.what();

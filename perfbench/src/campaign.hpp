@@ -1,10 +1,11 @@
 // The campaign workload: an in-process coordinator and two lease workers
-// over real AF_UNIX sockets, with journals on the real filesystem.
+// over real AF_UNIX sockets, with their journals kept in memory.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -34,11 +35,29 @@ struct FsStats {
     }
 };
 
-/// A FileSystem that times and counts the calls it forwards to real_fs().
+/// A FileSystem held in memory: a locked map from path to contents.  The
+/// campaign keeps its journals here, so that its wall time measures the
+/// journal and protocol code rather than the host disk's rename latency.
+/// Thread-safe: the coordinator and both workers share one instance.
+class MemFs final : public zerodeg::core::FileSystem {
+public:
+    void write_file(const std::filesystem::path& path, std::string_view content) override;
+    [[nodiscard]] std::string read_file(const std::filesystem::path& path) override;
+    [[nodiscard]] bool exists(const std::filesystem::path& path) override;
+    void rename(const std::filesystem::path& from, const std::filesystem::path& to) override;
+    void remove(const std::filesystem::path& path) override;
+
+private:
+    std::mutex mutex_;
+    std::map<std::filesystem::path, std::string> files_;
+};
+
+/// A FileSystem that times and counts the calls it forwards to `inner`.
 /// Thread-safe: both workers share one instance.
 class TimingFs final : public zerodeg::core::FileSystem {
 public:
-    TimingFs(std::string name, SpanLog& spans) : name_(std::move(name)), spans_(spans) {}
+    TimingFs(std::string name, zerodeg::core::FileSystem& inner, SpanLog& spans)
+        : name_(std::move(name)), inner_(inner), spans_(spans) {}
 
     void write_file(const std::filesystem::path& path, std::string_view content) override;
     [[nodiscard]] std::string read_file(const std::filesystem::path& path) override;
@@ -52,6 +71,7 @@ private:
     void note(Clock::time_point t0, std::uint64_t bytes, bool write);
 
     std::string name_;
+    zerodeg::core::FileSystem& inner_;
     SpanLog& spans_;
     mutable std::mutex mutex_;
     FsStats stats_;
@@ -87,8 +107,8 @@ private:
 
 /// Everything a traced campaign measures besides the seasons themselves.
 struct CampaignMeters {
-    explicit CampaignMeters(SpanLog& spans)
-        : merged("journal.merged", spans), worker("journal.worker", spans) {}
+    CampaignMeters(zerodeg::core::FileSystem& journals, SpanLog& spans)
+        : merged("journal.merged", journals, spans), worker("journal.worker", journals, spans) {}
     TimingFs merged;
     TimingFs worker;
     NetMeter net;
@@ -97,15 +117,17 @@ struct CampaignMeters {
 /// A coordinator that has opened its merged journal and bound its socket.
 struct OpenCampaign {
     std::filesystem::path dir;
+    std::unique_ptr<MemFs> journals;
+    std::unique_ptr<CampaignMeters> meters;  ///< null in an untraced campaign
     std::unique_ptr<zerodeg::experiment::CoordinatorService> service;
     std::unique_ptr<zerodeg::core::Listener> listener;
 };
 
-/// Opens the coordinator's merged journal in the empty directory `dir` and
-/// binds the listener.  `meters` (may be null) decorates journal and socket.
+/// Opens the coordinator's merged journal (in memory, under `dir`) and binds
+/// the listener in the empty directory `dir`.  With `spans`, journals and
+/// sockets are decorated by the campaign's meters.
 [[nodiscard]] OpenCampaign open_campaign(const zerodeg::experiment::CensusPlan& plan,
-                                         const std::filesystem::path& dir,
-                                         CampaignMeters* meters);
+                                         const std::filesystem::path& dir, SpanLog* spans);
 
 struct CampaignOutcome {
     double window_s = 0.0;  ///< start of serve until serve and both workers returned
@@ -119,7 +141,6 @@ struct CampaignOutcome {
 /// Serves the opened campaign with two lease-worker threads and decodes
 /// the merged journal afterwards.  `plan.run_cell` is what the workers run.
 [[nodiscard]] CampaignOutcome serve_campaign(const zerodeg::experiment::CensusPlan& plan,
-                                             OpenCampaign& open, CampaignMeters* meters,
-                                             double deadline_s);
+                                             OpenCampaign& open, double deadline_s);
 
 }  // namespace zdbench

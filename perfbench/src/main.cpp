@@ -2,7 +2,7 @@
 //
 //   zerodeg_bench --workload archive|traffic|campaign --seed N --seconds S
 //                 --trace 0|1 --pins DIR --work-dir DIR [--base-seed B]
-//   zerodeg_bench --workload W --capture-pins FILE [--jobs J]
+//   zerodeg_bench --workload W --capture-pins FILE
 //
 // With --trace 0 it measures the end-to-end metrics of one workload for S
 // seconds; with --trace 1 it measures the per-layer metrics instead.  The
@@ -44,6 +44,8 @@ constexpr std::size_t kCensusJobs = 2;
 constexpr int kSetupRepeats = 9;
 /// A campaign still running after this long is stopped and failed.
 constexpr double kCampaignDeadlineS = 60.0;
+/// Pin capture runs its censuses on this many workers.
+constexpr std::size_t kCaptureJobs = 3;
 
 struct Options {
     Workload workload = Workload::kArchive;
@@ -54,14 +56,13 @@ struct Options {
     fs::path pins_dir;
     fs::path work_dir;
     fs::path capture;
-    std::size_t capture_jobs = 3;
 };
 
 [[noreturn]] void usage(const std::string& message) {
     std::cerr << "zerodeg_bench: " << message << "\n"
               << "usage: zerodeg_bench --workload archive|traffic|campaign --seed N --seconds S\n"
               << "                     --trace 0|1 --pins DIR --work-dir DIR [--base-seed B]\n"
-              << "       zerodeg_bench --workload W --capture-pins FILE [--jobs J]\n";
+              << "       zerodeg_bench --workload W --capture-pins FILE\n";
     std::exit(2);
 }
 
@@ -105,8 +106,6 @@ Options parse(int argc, char** argv) {
             opt.work_dir = value;
         } else if (arg == "--capture-pins") {
             opt.capture = value;
-        } else if (arg == "--jobs") {
-            opt.capture_jobs = std::max<std::size_t>(1, parse_u64(arg, value));
         } else {
             usage("unknown flag " + arg);
         }
@@ -361,8 +360,7 @@ void add_cell_metrics(Report& report, std::vector<double> cells) {
     char note[96];
     std::snprintf(note, sizeof note, "p%.1f of %zu cells (%zu beyond)",
                   100.0 * static_cast<double>(k + 1) / static_cast<double>(n), n, n - k - 1);
-    // Too noisy between runs on a shared host to gate on (see README.md).
-    report.info("cell_tail_s", cells[k], "s", note);
+    report.add("cell_tail_s", cells[k], "s", note);
 }
 
 /// One batch run the workload's way: its timed window and its cells'
@@ -386,8 +384,9 @@ struct CampaignTotals {
 
 /// Runs `plan`, whose cells are pool cells first, first + 1, ..., as the
 /// workload does: a census on a two-worker pool, or a campaign in the fresh
-/// directory `dir`.  With `spans`, a campaign's journals and sockets are
-/// decorated and their figures added to `totals`.
+/// directory `dir` (its sockets; the journals stay in memory).  With
+/// `spans`, a campaign's journals and sockets are decorated and their
+/// figures added to `totals`.
 Batch run_batch(const Run& run, const ex::CensusPlan& plan, std::size_t first,
                 const fs::path& dir, SpanLog* spans, CampaignTotals* totals) {
     Batch batch;
@@ -409,11 +408,8 @@ Batch run_batch(const Run& run, const ex::CensusPlan& plan, std::size_t first,
     }
 
     fresh_dir(dir);
-    const auto meters = spans != nullptr ? std::make_unique<CampaignMeters>(*spans) : nullptr;
-    OpenCampaign open = open_campaign(plan, dir, meters.get());
-    const CampaignOutcome out = serve_campaign(plan, open, meters.get(), kCampaignDeadlineS);
-    open = {};
-    fs::remove_all(dir);
+    OpenCampaign open = open_campaign(plan, dir, spans);
+    const CampaignOutcome out = serve_campaign(plan, open, kCampaignDeadlineS);
     batch.window_s = out.window_s;
     if (!out.error.empty()) std::cerr << "campaign from cell " << first << ": " << out.error << '\n';
     for (std::size_t i = 0; i < plan.seeds; ++i) {
@@ -421,10 +417,10 @@ Batch run_batch(const Run& run, const ex::CensusPlan& plan, std::size_t first,
             batch.records[i] = ex::encode_cell_record(first + i, *out.censuses[i]);
         }
     }
-    if (meters != nullptr && totals != nullptr) {
-        totals->merged += meters->merged.stats();
-        totals->worker += meters->worker.stats();
-        totals->net += meters->net.stats();
+    if (open.meters && totals != nullptr) {
+        totals->merged += open.meters->merged.stats();
+        totals->worker += open.meters->worker.stats();
+        totals->net += open.meters->net.stats();
         totals->coordinator_frames += static_cast<double>(out.coordinator.frames);
         totals->duplicates += static_cast<double>(out.coordinator.duplicates);
         for (const ex::WorkerReport& r : out.workers) {
@@ -432,6 +428,8 @@ Batch run_batch(const Run& run, const ex::CensusPlan& plan, std::size_t first,
             totals->resends += static_cast<double>(r.resends);
         }
     }
+    open = {};
+    fs::remove_all(dir);
     return batch;
 }
 
@@ -604,36 +602,33 @@ int run_traced(const Options& opt, const Run& run) {
                "exact");
     report.add("archive.md5_bytes", static_cast<double>(first_counts.md5_bytes), "bytes",
                "exact");
-    if (!campaign) {
-        report.add("pool.cell_s", cell_s / p, "s");
-        report.add("pool.efficiency",
-                   untraced_wall > 0 ? cell_s / (untraced_wall * kCensusJobs) : 0.0, "ratio");
-    } else {
-        // Campaign-only layers; the campaign is not a declared workload
-        // (see README.md), so these stay out of BENCHMARK.json.
-        const CampaignTotals& t = totals;
-        report.add("campaign.compute_share",
-                   untraced_wall > 0 ? cell_s / (untraced_wall * kCampaignWorkers) : 0.0,
-                   "ratio");
-        report.add("journal.merged.writes", static_cast<double>(t.merged.writes) / p, "count",
-                   "exact");
-        report.add("journal.merged.bytes", static_cast<double>(t.merged.bytes) / p, "bytes",
-                   "exact");
-        report.add("journal.merged.write_s", t.merged.write_s / p, "s");
-        report.add("journal.worker.writes", static_cast<double>(t.worker.writes) / p, "count",
-                   "exact");
-        report.add("journal.worker.bytes", static_cast<double>(t.worker.bytes) / p, "bytes",
-                   "varying");
-        report.add("journal.worker.write_s", t.worker.write_s / p, "s");
-        report.add("transport.frames", static_cast<double>(t.net.frames) / p, "count", "varying");
-        report.add("transport.bytes", static_cast<double>(t.net.bytes) / p, "bytes", "varying");
-        report.add("transport.send_s", t.net.send_s / p, "s");
-        report.add("transport.wait_s", t.net.wait_s / p, "s");
-        report.add("coordinator.frames", t.coordinator_frames / p, "count", "varying");
-        report.add("coordinator.duplicates", t.duplicates / p, "count", "varying");
-        report.add("worker.heartbeats", t.heartbeats / p, "count", "varying");
-        report.add("worker.resends", t.resends / p, "count", "varying");
-    }
+    // Each workload reports every per-layer metric; the layers it does not
+    // run read 0.  A census runs its cells on a task pool, a campaign on
+    // two lease workers.
+    const double workers = static_cast<double>(campaign ? kCampaignWorkers : kCensusJobs);
+    const double busy = untraced_wall > 0 ? cell_s / (untraced_wall * workers) : 0.0;
+    report.add("pool.cell_s", campaign ? 0.0 : cell_s / p, "s");
+    report.add("pool.efficiency", campaign ? 0.0 : busy, "ratio");
+    report.add("campaign.compute_share", campaign ? busy : 0.0, "ratio");
+    const CampaignTotals& t = totals;
+    report.add("journal.merged.writes", static_cast<double>(t.merged.writes) / p, "count",
+               "exact");
+    report.add("journal.merged.bytes", static_cast<double>(t.merged.bytes) / p, "bytes",
+               "varying");
+    report.add("journal.merged.write_s", t.merged.write_s / p, "s");
+    report.add("journal.worker.writes", static_cast<double>(t.worker.writes) / p, "count",
+               "exact");
+    report.add("journal.worker.bytes", static_cast<double>(t.worker.bytes) / p, "bytes",
+               "varying");
+    report.add("journal.worker.write_s", t.worker.write_s / p, "s");
+    report.add("transport.frames", static_cast<double>(t.net.frames) / p, "count", "varying");
+    report.add("transport.bytes", static_cast<double>(t.net.bytes) / p, "bytes", "varying");
+    report.add("transport.send_s", t.net.send_s / p, "s");
+    report.add("transport.wait_s", t.net.wait_s / p, "s");
+    report.add("coordinator.frames", t.coordinator_frames / p, "count", "varying");
+    report.add("coordinator.duplicates", t.duplicates / p, "count", "varying");
+    report.add("worker.heartbeats", t.heartbeats / p, "count", "varying");
+    report.add("worker.resends", t.resends / p, "count", "varying");
     report.add("tracing.overhead", untraced_wall > 0 ? traced_wall / untraced_wall - 1.0 : 0.0,
                "ratio", std::to_string(passes) + " traced passes of " +
                             std::to_string(run.shape.batch) + " cells");
@@ -655,7 +650,7 @@ int capture_pins(const Options& opt) {
         << kPinnedBaseSeed << ", " << shape.pool << " cells; cell k is master seed "
         << kPinnedBaseSeed << " + k\n";
     for (std::size_t pb = 0; pb < run.pool_batches(); ++pb) {
-        const ex::CensusResult result = ex::run_census(run.plan(pb), opt.capture_jobs);
+        const ex::CensusResult result = ex::run_census(run.plan(pb), kCaptureJobs);
         for (std::size_t i = 0; i < result.censuses.size(); ++i) {
             out << ex::encode_cell_record(pb * shape.batch + i, result.censuses[i]) << '\n';
         }

@@ -30,7 +30,7 @@ Shape shape_of(Workload w) {
     switch (w) {
         case Workload::kArchive: return {16, 512};
         case Workload::kTraffic: return {16, 320};
-        case Workload::kCampaign: return {32, 1024};
+        case Workload::kCampaign: return {32, 2048};
     }
     return {};
 }

@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
-"""Run the benchmark over several seeds and report how steady it is.
+"""Run the benchmark over many seeds and report how steady it is.
 
-    python3 perfbench/steadiness.py [--workloads archive,traffic]
-        [--runs 10] [--first-seed 1] [--seconds S] [--sets 1] [--out FILE]
+    python3 perfbench/steadiness.py
 
-The workloads and the run length default to those BENCHMARK.json declares.
-For every workload it makes `runs` untraced runs with seeds first-seed,
-first-seed+1, ... (a second set continues the seed sequence) and prints,
-per end-to-end metric, the median, the first and third quartiles and the
-quartile spread as a share of the median -- the figure BENCHMARK.json's
-bounds are set against.  With --out the raw values go to a JSON file.
+For every workload BENCHMARK.json declares it makes two sets of ten
+untraced runs of the declared length, each run with its own seed (1, 2, ...
+in the order the runs are made), and prints, per end-to-end metric, the
+median, the first and third quartiles and the quartile spread as a share of
+the median -- the figure BENCHMARK.json's bounds are set against.
 """
-import argparse
 import json
 import os
 import statistics
@@ -19,6 +16,8 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SETS = 2
+RUNS = 10
 
 
 def one_run(workload, seed, seconds):
@@ -42,33 +41,20 @@ def summarize(values):
 def main():
     with open(os.path.join(os.path.dirname(HERE), "BENCHMARK.json")) as f:
         declared = json.load(f)
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in declared["workloads"]))
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=declared["run_seconds"])
-    ap.add_argument("--sets", type=int, default=1)
-    ap.add_argument("--out")
-    args = ap.parse_args()
-
-    raw = {}
-    seed = args.first_seed
-    for s in range(args.sets):
-        for workload in args.workloads.split(","):
+    seconds = declared["run_seconds"]
+    seed = 1
+    for s in range(SETS):
+        for workload in (w["name"] for w in declared["workloads"]):
             runs = []
-            for _ in range(args.runs):
-                runs.append(one_run(workload, seed, args.seconds))
+            for _ in range(RUNS):
+                runs.append(one_run(workload, seed, seconds))
                 seed += 1
-            raw.setdefault(workload, []).append(runs)
-            print("set %d, %s, %d runs of %d s" % (s + 1, workload, args.runs, args.seconds))
+            print("set %d, %s, %d runs of %d s" % (s + 1, workload, RUNS, seconds))
             for name in runs[0]:
                 med, q1, q3, spread = summarize([r[name] for r in runs])
                 print("  %-14s median %-12.6g q1 %-12.6g q3 %-12.6g spread %.4f"
                       % (name, med, q1, q3, spread))
             sys.stdout.flush()
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(raw, f, indent=1)
     return 0
 
 
