@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <ctime>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -28,6 +29,15 @@ using zerodeg::experiment::FaultCensus;
 
 [[nodiscard]] inline double seconds_since(Clock::time_point t0) {
     return Clock::seconds_between(t0, Clock::now());
+}
+
+/// CPU time of the calling thread.  Unlike wall time it leaves out the time
+/// the thread waited for a processor: behind other threads, or, on a virtual
+/// machine whose host reports steal time, behind other guests.
+[[nodiscard]] inline double thread_cpu_seconds() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 /// The seed the checked-in pins belong to (the paper's golden seed).

@@ -1,8 +1,9 @@
 #include "campaign.hpp"
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -195,7 +196,17 @@ CampaignOutcome serve_campaign(const ex::CensusPlan& plan, OpenCampaign& open, d
     out.workers.resize(kCampaignWorkers);
     std::vector<std::string> errors(kCampaignWorkers + 1);
     std::vector<Clock::time_point> ended(kCampaignWorkers + 1);
-    std::atomic<std::size_t> finished{0};
+    std::mutex finish_mutex;
+    std::condition_variable finish_cv;
+    std::size_t finished = 0;
+    const auto finish = [&](std::size_t k) {
+        {
+            const std::scoped_lock lock(finish_mutex);
+            ended[k] = Clock::now();
+            ++finished;
+        }
+        finish_cv.notify_one();
+    };
     const std::filesystem::path socket = socket_path(open.dir);
 
     // The listener is bound before any worker starts and closed when serve()
@@ -222,8 +233,7 @@ CampaignOutcome serve_campaign(const ex::CensusPlan& plan, OpenCampaign& open, d
         // and redials is refused at once instead of waiting out handshakes
         // on a listener nobody accepts from.
         open.listener->close();
-        ended[0] = Clock::now();
-        ++finished;
+        finish(0);
     });
     for (std::size_t k = 0; k < kCampaignWorkers; ++k) {
         threads.emplace_back([&, k] {
@@ -237,18 +247,18 @@ CampaignOutcome serve_campaign(const ex::CensusPlan& plan, OpenCampaign& open, d
             } catch (const std::exception& e) {
                 errors[k + 1] = "worker " + std::to_string(k) + ": " + e.what();
             }
-            ended[k + 1] = Clock::now();
-            ++finished;
+            finish(k + 1);
         });
     }
     bool stopped = false;
-    while (finished.load() < threads.size()) {
-        if (!stopped && seconds_since(t0) > deadline_s) {
-            open.service->request_stop();
-            open.listener->close();
-            stopped = true;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    {
+        std::unique_lock lock(finish_mutex);
+        stopped = !finish_cv.wait_for(lock, std::chrono::duration<double>(deadline_s),
+                                      [&] { return finished == threads.size(); });
+    }
+    if (stopped) {
+        open.service->request_stop();
+        open.listener->close();
     }
     for (std::thread& t : threads) t.join();
 
