@@ -332,7 +332,9 @@ std::vector<std::uint8_t> huffman_decode_block(std::span<const std::uint8_t> pay
     const CanonicalDecoder decoder(lengths);
     BitReader reader(payload.subspan(kSymbols));
     std::vector<std::uint8_t> rle;
-    rle.reserve(expected_rle_max);
+    // expected_rle_max comes from an untrusted header; every symbol takes at
+    // least one bit, so the payload itself bounds what can be decoded.
+    rle.reserve(std::min(expected_rle_max, (payload.size() - kSymbols) * 8));
     for (;;) {
         const std::uint32_t sym = decoder.decode(reader);
         if (sym == kEob) break;

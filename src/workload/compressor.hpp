@@ -35,6 +35,8 @@ struct BlockInfo {
     std::uint32_t comp_size = 0;
     std::uint32_t crc = 0;
     std::uint8_t method = 0;
+
+    bool operator==(const BlockInfo&) const = default;
 };
 
 /// Compress `data` into a frost container.

@@ -42,10 +42,22 @@ std::vector<BlockInfo> rescan_for_blocks(std::span<const std::uint8_t> container
     return dir;
 }
 
+/// Block `i` of a cleanly parsed directory byte-matches the reference's
+/// block `i`: same BlockInfo, same header and payload bytes.
+bool matches_reference(std::span<const std::uint8_t> container, const BlockInfo& info,
+                       std::size_t i, const RecoveryReference& reference) {
+    if (i >= reference.directory.size() || !(info == reference.directory[i])) return false;
+    const std::size_t len = 17 + std::size_t{info.comp_size};
+    if (info.offset + len > reference.container.size()) return false;
+    return std::memcmp(container.data() + info.offset, reference.container.data() + info.offset,
+                       len) == 0;
+}
+
 }  // namespace
 
 RecoveryReport frost_recover(std::span<const std::uint8_t> container,
-                             std::vector<std::uint8_t>* salvaged) {
+                             std::vector<std::uint8_t>* salvaged,
+                             const RecoveryReference* reference) {
     RecoveryReport report;
     std::vector<BlockInfo> dir;
     try {
@@ -55,8 +67,16 @@ RecoveryReport frost_recover(std::span<const std::uint8_t> container,
         dir = rescan_for_blocks(container);
     }
     report.total_blocks = dir.size();
+    // Salvage needs every block's bytes, and a rescanned directory's blocks
+    // need not line up with the reference's.
+    if (report.directory_damaged || salvaged != nullptr) reference = nullptr;
 
     for (std::size_t i = 0; i < dir.size(); ++i) {
+        if (reference != nullptr && matches_reference(container, dir[i], i, *reference)) {
+            report.salvaged_bytes += dir[i].orig_size;
+            continue;
+        }
+        ++report.blocks_decoded;
         try {
             const std::vector<std::uint8_t> block = frost_decode_block(container, dir[i]);
             report.salvaged_bytes += block.size();

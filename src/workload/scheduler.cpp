@@ -67,6 +67,8 @@ void LoadScheduler::run_cycle(int host_id) {
     ++st.runs;
     st.page_ops += result.page_ops;
     st.ecc_corrected += result.corrected_flips;
+    st.blocks_decoded += result.blocks_decoded;
+    st.md5_bytes += result.md5_bytes;
     if (!result.hash_ok) {
         ++st.wrong_hashes;
         WrongHashIncident inc;
@@ -102,6 +104,18 @@ std::uint64_t LoadScheduler::total_wrong_hashes() const {
 std::uint64_t LoadScheduler::total_page_ops() const {
     std::uint64_t n = 0;
     for (const auto& [id, st] : stats_) n += st.page_ops;
+    return n;
+}
+
+std::uint64_t LoadScheduler::total_blocks_decoded() const {
+    std::uint64_t n = 0;
+    for (const auto& [id, st] : stats_) n += st.blocks_decoded;
+    return n;
+}
+
+std::uint64_t LoadScheduler::total_md5_bytes() const {
+    std::uint64_t n = 0;
+    for (const auto& [id, st] : stats_) n += st.md5_bytes;
     return n;
 }
 

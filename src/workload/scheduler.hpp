@@ -32,6 +32,8 @@ struct HostLoadStats {
     std::uint64_t skipped = 0;  ///< host was down at cycle time
     std::uint64_t ecc_corrected = 0;
     std::uint64_t page_ops = 0;
+    std::uint64_t blocks_decoded = 0;  ///< forensics work (JobResult::blocks_decoded)
+    std::uint64_t md5_bytes = 0;       ///< hashing work (JobResult::md5_bytes)
 };
 
 class LoadScheduler {
@@ -65,6 +67,8 @@ public:
     [[nodiscard]] std::uint64_t total_runs() const;
     [[nodiscard]] std::uint64_t total_wrong_hashes() const;
     [[nodiscard]] std::uint64_t total_page_ops() const;
+    [[nodiscard]] std::uint64_t total_blocks_decoded() const;
+    [[nodiscard]] std::uint64_t total_md5_bytes() const;
 
 private:
     struct HostState {

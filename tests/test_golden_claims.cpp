@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "energy/pue.hpp"
 #include "experiment/census.hpp"
@@ -80,6 +81,44 @@ TEST(GoldenClaims, DefaultSeasonCensusGoldenNumbers) {
     EXPECT_EQ(c.wrong_hashes, 13u);
     EXPECT_EQ(c.sensor_incidents, 0u);
     EXPECT_EQ(c.switch_failures, 3u);
+}
+
+/// The load cycle's deterministic work counters for one archive season.
+struct LoadWork {
+    std::uint64_t blocks_decoded = 0;
+    std::uint64_t md5_bytes = 0;
+    std::uint64_t incident_blocks = 0;  ///< sum of total_blocks over the incidents
+
+    bool operator==(const LoadWork&) const = default;
+};
+
+LoadWork season_load_work(std::uint64_t seed) {
+    experiment::ExperimentConfig cfg;
+    cfg.master_seed = seed;
+    experiment::ExperimentRunner run(cfg);
+    run.run();
+    LoadWork w;
+    w.blocks_decoded = run.load().total_blocks_decoded();
+    w.md5_bytes = run.load().total_md5_bytes();
+    for (const workload::WrongHashIncident& inc : run.load().incidents()) {
+        w.incident_blocks += inc.total_blocks;
+    }
+    return w;
+}
+
+TEST(GoldenClaims, DefaultSeasonLoadWorkCountersRepeatAcrossJobs) {
+    // Forensics decodes only the blocks a flip touched and MD5 re-hashes
+    // only from the checkpoint below the first flipped byte.  The counters
+    // are exact: pinned at the default seed and identical for any jobs.
+    const auto cell = [](std::size_t i) { return season_load_work(20100219 + i); };
+    const std::vector<LoadWork> serial = experiment::SweepRunner(1).map(2, cell);
+    const std::vector<LoadWork> pooled = experiment::SweepRunner(2).map(2, cell);
+    EXPECT_EQ(serial, pooled);
+    const LoadWork& golden = serial[0];
+    EXPECT_EQ(golden.blocks_decoded, 13u);
+    EXPECT_EQ(golden.md5_bytes, 9145562u);
+    // Each wrong hash still reports all 397 blocks, as bzip2recover did.
+    EXPECT_EQ(golden.incident_blocks, 5161u);
 }
 
 TEST(GoldenClaims, WrongHashRatioOfTheSeasonNear570Million) {

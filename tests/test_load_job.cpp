@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/error.hpp"
 #include "core/rng.hpp"
 
@@ -121,6 +123,132 @@ TEST(LoadJob, ArchiveLargerThanCorpusButContainerSmaller) {
     const LoadJob job(small_config(), 2010);
     EXPECT_GT(job.archive_bytes(), 0u);
     EXPECT_LT(job.container_bytes(), job.archive_bytes());
+}
+
+// --- resumable MD5 ---------------------------------------------------------
+
+constexpr std::size_t kStride = Md5Checkpoints::kStride;
+
+std::vector<std::uint8_t> sample_bytes(std::size_t n) {
+    core::RngStream rng(99, "md5-bytes");
+    std::vector<std::uint8_t> bytes(n);
+    for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    return bytes;
+}
+
+/// Flips one bit at each of `positions` and checks the resumed digest
+/// against a one-shot md5() of the damaged copy.
+void expect_resume_matches(const std::vector<std::uint8_t>& reference,
+                           const std::vector<std::size_t>& positions) {
+    const Md5Checkpoints checkpoints(reference);
+    std::vector<std::uint8_t> damaged = reference;
+    for (const std::size_t pos : positions) damaged[pos] ^= 0x10;
+    const std::size_t first = *std::min_element(positions.begin(), positions.end());
+    EXPECT_EQ(checkpoints.resume(damaged, first), md5(damaged));
+    EXPECT_NE(checkpoints.resume(damaged, first), checkpoints.digest());
+    EXPECT_EQ(checkpoints.resume_offset(first), first / kStride * kStride);
+}
+
+TEST(Md5Checkpoints, DigestIsTheOneShotDigest) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kStride - 1, kStride,
+                                kStride + 1, 5 * kStride + 123}) {
+        const auto bytes = sample_bytes(n);
+        EXPECT_EQ(Md5Checkpoints(bytes).digest(), md5(bytes)) << n;
+    }
+}
+
+TEST(Md5Checkpoints, ResumedDigestMatchesOneShotAtEveryBoundary) {
+    const auto reference = sample_bytes(5 * kStride + 123);
+    for (const std::size_t pos :
+         {std::size_t{12}, kStride - 1, kStride, kStride + 1, 3 * kStride - 1, 3 * kStride,
+          3 * kStride + 1, 5 * kStride, reference.size() - 1}) {
+        SCOPED_TRACE(pos);
+        expect_resume_matches(reference, {pos});
+    }
+}
+
+TEST(Md5Checkpoints, LastByteOfAStrideAlignedBuffer) {
+    const auto reference = sample_bytes(4 * kStride);
+    expect_resume_matches(reference, {reference.size() - 1});
+    expect_resume_matches(reference, {reference.size() - kStride});
+}
+
+TEST(Md5Checkpoints, MultipleFlipsInDifferentStrides) {
+    const auto reference = sample_bytes(5 * kStride + 123);
+    expect_resume_matches(reference, {4 * kStride + 9, kStride + 7, reference.size() - 1});
+    expect_resume_matches(reference, {2 * kStride, 2 * kStride + 1, 3 * kStride - 1});
+}
+
+TEST(Md5Checkpoints, ResumeHandlesALengthChange) {
+    const auto reference = sample_bytes(3 * kStride + 5);
+    const Md5Checkpoints checkpoints(reference);
+    std::vector<std::uint8_t> longer = reference;
+    longer.push_back(0x42);
+    EXPECT_EQ(checkpoints.resume(longer, reference.size()), md5(longer));
+    const std::vector<std::uint8_t> shorter(reference.begin(), reference.begin() + 2 * kStride + 1);
+    EXPECT_EQ(checkpoints.resume(shorter, reference.size()), md5(shorter));
+}
+
+TEST(Md5Checkpoints, RealContainer) {
+    const LoadJob job(small_config(), 2010);
+    const auto& container = job.reference_container();
+    ASSERT_GT(container.size(), 2 * kStride);
+    expect_resume_matches(container, {12});
+    expect_resume_matches(container, {kStride});
+    expect_resume_matches(container, {container.size() - 1});
+}
+
+// --- cache_clean_runs on and off agree --------------------------------------
+
+void expect_same_result(const JobResult& cached, const JobResult& full) {
+    EXPECT_EQ(cached.hash_ok, full.hash_ok);
+    EXPECT_EQ(cached.digest, full.digest);
+    EXPECT_EQ(cached.raw_flips, full.raw_flips);
+    EXPECT_EQ(cached.corrected_flips, full.corrected_flips);
+    ASSERT_EQ(cached.forensics.has_value(), full.forensics.has_value());
+    if (!full.forensics) return;
+    EXPECT_EQ(cached.forensics->total_blocks, full.forensics->total_blocks);
+    EXPECT_EQ(cached.forensics->corrupt_blocks, full.forensics->corrupt_blocks);
+    EXPECT_EQ(cached.forensics->salvaged_bytes, full.forensics->salvaged_bytes);
+    EXPECT_EQ(cached.forensics->lost_bytes, full.forensics->lost_bytes);
+    EXPECT_EQ(cached.forensics->directory_damaged, full.forensics->directory_damaged);
+}
+
+TEST(LoadJob, CachedRunsMatchTheFullPipelineForTheSameFlipStream) {
+    // Same seed, same memory stream: the cached job (diff-aware forensics,
+    // resumed MD5) and the full pipeline see the same flips.  Two regimes:
+    // mostly single flips, and many flips per run.
+    for (const double p : {1.0 / 20000.0, 1.0 / 1000.0}) {
+        LoadJobConfig full_cfg = small_config();
+        full_cfg.cache_clean_runs = false;
+        LoadJob cached(small_config(), 2010);
+        LoadJob full(full_cfg, 2010);
+        faults::MemoryFaultParams params;
+        params.flip_probability_per_page_op = p;
+        faults::MemoryFaultModel mem_a(params, core::RngStream(3, "mem"));
+        faults::MemoryFaultModel mem_b(params, core::RngStream(3, "mem"));
+        int wrong = 0;
+        for (int i = 0; i < 12; ++i) {
+            SCOPED_TRACE(testing::Message() << "p " << p << " run " << i);
+            const JobResult a = cached.run(mem_a, false);
+            const JobResult b = full.run(mem_b, false);
+            expect_same_result(a, b);
+            // Work: the full pipeline hashes everything and decodes every
+            // block it finds; the cached one never does more.
+            EXPECT_EQ(b.md5_bytes, full.container_bytes());
+            EXPECT_LE(a.md5_bytes, b.md5_bytes);
+            EXPECT_LE(a.blocks_decoded, b.blocks_decoded);
+            if (b.forensics) {
+                EXPECT_EQ(b.blocks_decoded, b.forensics->total_blocks);
+            }
+            if (a.raw_flips == 0) {
+                EXPECT_EQ(a.md5_bytes, 0u);
+                EXPECT_EQ(a.blocks_decoded, 0u);
+            }
+            if (!a.hash_ok) ++wrong;
+        }
+        EXPECT_GT(wrong, 0);
+    }
 }
 
 }  // namespace

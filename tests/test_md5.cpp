@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/error.hpp"
 
 namespace zerodeg::workload {
@@ -18,6 +20,10 @@ struct Rfc1321Case {
     const char* input;
     const char* digest;
 };
+
+// Name each case by its digest. gtest's default printer would dump the two
+// pointers' bytes, which ASLR moves from one build's test discovery to the next.
+void PrintTo(const Rfc1321Case& c, std::ostream* os) { *os << c.digest; }
 
 class Rfc1321 : public ::testing::TestWithParam<Rfc1321Case> {};
 

@@ -1,10 +1,20 @@
 #include "workload/recover.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
+#include <map>
+#include <string>
 
 #include "core/rng.hpp"
+#include "experiment/runner.hpp"
+#include "faults/memory_faults.hpp"
 #include "workload/archive.hpp"
 #include "workload/corpus.hpp"
+#include "workload/scheduler.hpp"
 
 namespace zerodeg::workload {
 namespace {
@@ -133,6 +143,270 @@ TEST_P(SingleFlipAnywhere, OneBadBlock) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SingleFlipAnywhere, ::testing::Range(0, 10));
+
+// --- the reference-aware path -------------------------------------------
+//
+// frost_recover given the pristine container must report exactly what the
+// full decode of every block reports, for any damage.
+
+void expect_same_findings(const RecoveryReport& full, const RecoveryReport& diff) {
+    EXPECT_EQ(diff.total_blocks, full.total_blocks);
+    EXPECT_EQ(diff.corrupt_blocks, full.corrupt_blocks);
+    EXPECT_EQ(diff.salvaged_bytes, full.salvaged_bytes);
+    EXPECT_EQ(diff.lost_bytes, full.lost_bytes);
+    EXPECT_EQ(diff.directory_damaged, full.directory_damaged);
+}
+
+/// Recovers `damaged` with and without the reference and compares the two
+/// reports; returns the reference-aware one.
+RecoveryReport recover_both_ways(const std::vector<std::uint8_t>& damaged,
+                                 const std::vector<std::uint8_t>& pristine) {
+    const std::vector<BlockInfo> dir = frost_block_directory(pristine);
+    const RecoveryReference reference{pristine, dir};
+    const RecoveryReport full = frost_recover(damaged);
+    const RecoveryReport diff = frost_recover(damaged, nullptr, &reference);
+    expect_same_findings(full, diff);
+    EXPECT_EQ(full.blocks_decoded, full.total_blocks);
+    EXPECT_LE(diff.blocks_decoded, full.blocks_decoded);
+    return diff;
+}
+
+TEST(RecoverReference, PristineContainerDecodesNothing) {
+    const auto packed = sample_container();
+    const RecoveryReport r = recover_both_ways(packed, packed);
+    EXPECT_TRUE(r.fully_intact());
+    EXPECT_EQ(r.blocks_decoded, 0u);
+}
+
+TEST(RecoverReference, SinglePayloadFlipDecodesOneBlock) {
+    const auto pristine = sample_container();
+    const auto dir = frost_block_directory(pristine);
+    auto packed = pristine;
+    packed[dir[3].offset + 17 + dir[3].comp_size / 2] ^= 0x04;
+    const RecoveryReport r = recover_both_ways(packed, pristine);
+    EXPECT_EQ(r.corrupt_blocks, (std::vector<std::size_t>{3}));
+    EXPECT_EQ(r.blocks_decoded, 1u);
+}
+
+TEST(RecoverReference, EveryHeaderBitOfFirstMiddleAndLastBlock) {
+    // Flips in comp_size shift every later offset (the directory walk then
+    // fails and the rescan takes over); flips in orig_size, crc and method
+    // keep the directory but change the block's BlockInfo.
+    const auto pristine = sample_container();
+    const auto dir = frost_block_directory(pristine);
+    ASSERT_GT(dir.size(), 4u);
+    for (const std::size_t b : {std::size_t{0}, dir.size() / 2, dir.size() - 1}) {
+        for (std::size_t byte = 0; byte < 17; ++byte) {
+            for (int bit = 0; bit < 8; ++bit) {
+                SCOPED_TRACE(testing::Message() << "block " << b << " byte " << byte << " bit "
+                                                << bit);
+                auto packed = pristine;
+                packed[dir[b].offset + byte] ^= static_cast<std::uint8_t>(1u << bit);
+                recover_both_ways(packed, pristine);
+            }
+        }
+    }
+}
+
+TEST(RecoverReference, EveryStreamHeaderBit) {
+    const auto pristine = sample_container();
+    for (std::size_t byte = 0; byte < 12; ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+            SCOPED_TRACE(testing::Message() << "byte " << byte << " bit " << bit);
+            auto packed = pristine;
+            packed[byte] ^= static_cast<std::uint8_t>(1u << bit);
+            recover_both_ways(packed, pristine);
+        }
+    }
+}
+
+TEST(RecoverReference, StrideSampledPayloadBits) {
+    const auto pristine = sample_container();
+    const auto dir = frost_block_directory(pristine);
+    for (const BlockInfo& blk : dir) {
+        for (std::size_t pos = 0; pos < blk.comp_size; pos += 131) {
+            auto packed = pristine;
+            packed[blk.offset + 17 + pos] ^= static_cast<std::uint8_t>(1u << (pos % 8));
+            const RecoveryReport r = recover_both_ways(packed, pristine);
+            EXPECT_EQ(r.blocks_decoded, 1u);
+        }
+    }
+}
+
+TEST(RecoverReference, MultiFlipContainers) {
+    const auto pristine = sample_container();
+    core::RngStream rng(7, "multi-flip");
+    for (int trial = 0; trial < 40; ++trial) {
+        auto packed = pristine;
+        const int flips = static_cast<int>(rng.uniform_int(2, 6));
+        for (int f = 0; f < flips; ++f) {
+            const auto pos = static_cast<std::size_t>(
+                rng.uniform_int(12, static_cast<std::int64_t>(packed.size()) - 1));
+            packed[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+        }
+        recover_both_ways(packed, pristine);
+    }
+}
+
+TEST(RecoverReference, TruncatedAndExtendedContainers) {
+    const auto pristine = sample_container();
+    const auto dir = frost_block_directory(pristine);
+
+    auto truncated = pristine;
+    truncated.resize(dir.back().offset + 10);
+    EXPECT_TRUE(recover_both_ways(truncated, pristine).directory_damaged);
+
+    auto extended = pristine;
+    extended.insert(extended.end(), 100, 0x5a);
+    const RecoveryReport r = recover_both_ways(extended, pristine);
+    EXPECT_TRUE(r.fully_intact());
+    EXPECT_EQ(r.blocks_decoded, 0u);
+
+    // And the other way round: a reference with one block fewer, whose
+    // directory ends before the damaged container's does.
+    std::vector<std::uint8_t> shorter(pristine.begin(),
+                                      pristine.begin() +
+                                          static_cast<std::ptrdiff_t>(dir.back().offset));
+    ASSERT_LT(dir.size(), 256u);
+    shorter[4] = static_cast<std::uint8_t>(dir.size() - 1);
+    ASSERT_EQ(frost_block_directory(shorter).size(), dir.size() - 1);
+    EXPECT_EQ(recover_both_ways(pristine, shorter).blocks_decoded, 1u);
+}
+
+TEST(RecoverReference, SalvageRequestTakesTheFullPath) {
+    const auto pristine = sample_container();
+    const auto dir = frost_block_directory(pristine);
+    auto packed = pristine;
+    packed[dir[2].offset + 17 + 9] ^= 0x10;
+    const RecoveryReference reference{pristine, dir};
+    std::vector<std::uint8_t> with_reference;
+    std::vector<std::uint8_t> without;
+    const RecoveryReport r = frost_recover(packed, &with_reference, &reference);
+    expect_same_findings(frost_recover(packed, &without), r);
+    EXPECT_EQ(r.blocks_decoded, dir.size());
+    EXPECT_EQ(with_reference, without);
+}
+
+TEST(RecoverReference, EveryCorruptingRunOfTheGoldenSeason) {
+    // The default season (seed 20100219) keeps only counts of its wrong-hash
+    // incidents, so rebuild each damaged container: replay every host's
+    // memory-fault stream to find how many flips its corrupting runs drew,
+    // and the job's flip stream to place them, in the order the season ran
+    // them — the order of its incidents.
+    const experiment::ExperimentConfig config;
+    experiment::ExperimentRunner run(config);
+    run.run();
+    const LoadScheduler& load = run.load();
+    const LoadJob& job = load.job();
+    const std::vector<std::uint8_t>& pristine = job.reference_container();
+
+    std::map<int, faults::MemoryFaultModel> memory;
+    std::map<int, bool> ecc;
+    for (const hardware::HostRecord& rec : run.fleet().hosts()) {
+        const int id = rec.server->id();
+        const std::string stream = "load.mem." + std::to_string(id);
+        memory.emplace(id, faults::MemoryFaultModel(config.memory,
+                                                    core::RngStream{config.master_seed, stream}));
+        ecc.emplace(id, rec.server->spec().ecc_memory);
+    }
+    core::RngStream flips(config.master_seed, "loadjob.flips");
+    std::map<int, std::uint64_t> replayed_runs;
+
+    ASSERT_EQ(load.incidents().size(), 13u);
+    for (const WrongHashIncident& inc : load.incidents()) {
+        SCOPED_TRACE(testing::Message() << "host " << inc.host_id);
+        faults::MemoryFaultOutcome outcome;
+        std::uint64_t& runs = replayed_runs[inc.host_id];
+        do {
+            ASSERT_LT(runs, load.stats(inc.host_id).runs) << "replay ran past the season";
+            outcome = memory.at(inc.host_id).run(job.page_ops_per_run(), ecc.at(inc.host_id));
+            ++runs;
+        } while (outcome.corrupting_flips == 0);
+
+        std::vector<std::uint8_t> damaged = pristine;
+        for (std::uint64_t i = 0; i < outcome.corrupting_flips; ++i) {
+            const auto pos = static_cast<std::size_t>(
+                flips.uniform_int(12, static_cast<std::int64_t>(damaged.size()) - 1));
+            damaged[pos] ^= static_cast<std::uint8_t>(1u << flips.uniform_int(0, 7));
+        }
+        const RecoveryReport r = recover_both_ways(damaged, pristine);
+        // The replay rebuilt the season's own container.
+        EXPECT_EQ(r.corrupt_blocks.size(), inc.corrupt_blocks);
+        EXPECT_EQ(r.total_blocks, inc.total_blocks);
+    }
+}
+
+// --- untrusted header sizes ----------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Lowers this process's soft address-space limit to `headroom` bytes above
+/// what it has mapped now, and restores the old limit on destruction.
+class AddressSpaceCap {
+public:
+    explicit AddressSpaceCap(std::size_t headroom) {
+        std::ifstream statm("/proc/self/statm");
+        std::size_t pages = 0;
+        statm >> pages;
+        ok_ = statm && ::getrlimit(RLIMIT_AS, &saved_) == 0;
+        if (!ok_) return;
+        rlimit capped = saved_;
+        capped.rlim_cur = static_cast<rlim_t>(pages * static_cast<std::size_t>(::getpagesize()) +
+                                              headroom);
+        if (saved_.rlim_max != RLIM_INFINITY) {
+            capped.rlim_cur = std::min(capped.rlim_cur, saved_.rlim_max);
+        }
+        ok_ = ::setrlimit(RLIMIT_AS, &capped) == 0;
+    }
+    ~AddressSpaceCap() {
+        if (ok_) ::setrlimit(RLIMIT_AS, &saved_);
+    }
+    AddressSpaceCap(const AddressSpaceCap&) = delete;
+    AddressSpaceCap& operator=(const AddressSpaceCap&) = delete;
+
+    [[nodiscard]] bool ok() const { return ok_; }
+
+private:
+    rlimit saved_{};
+    bool ok_ = false;
+};
+
+TEST(Recover, HugeOrigSizeFieldDoesNotExhaustMemory) {
+    // orig_size comes from the block header; with its top bit flipped the
+    // decoder once reserved ~6 GB for the block and threw std::bad_alloc on
+    // a host with less address space.  Recover with ~1 GB to spare.
+    if (kSanitized) GTEST_SKIP() << "sanitizer runtimes map far more than the cap";
+    const auto pristine = sample_container();
+    const auto dir = frost_block_directory(pristine);
+    std::size_t victim = dir.size();
+    for (std::size_t i = 0; i < dir.size() && victim == dir.size(); ++i) {
+        if (dir[i].method == 1) victim = i;
+    }
+    ASSERT_LT(victim, dir.size());
+    auto packed = pristine;
+    packed[dir[victim].offset + 7] ^= 0x80;  // top bit of orig_size
+    const RecoveryReference reference{pristine, dir};
+
+    std::vector<RecoveryReport> reports;
+    reports.reserve(2);
+    {
+        const AddressSpaceCap cap(std::size_t{1} << 30);
+        ASSERT_TRUE(cap.ok());
+        EXPECT_NO_THROW({
+            reports.push_back(frost_recover(packed));
+            reports.push_back(frost_recover(packed, nullptr, &reference));
+        });
+    }
+    ASSERT_EQ(reports.size(), 2u);
+    for (const RecoveryReport& r : reports) {
+        EXPECT_EQ(r.corrupt_blocks, std::vector<std::size_t>{victim});
+        EXPECT_EQ(r.lost_bytes, std::size_t{dir[victim].orig_size} + (std::size_t{1} << 31));
+    }
+}
 
 }  // namespace
 }  // namespace zerodeg::workload
