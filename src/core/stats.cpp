@@ -46,16 +46,43 @@ void RunningStats::merge(const RunningStats& other) {
     max_ = std::max(max_, other.max_);
 }
 
-double percentile(std::vector<double> data, double p) {
-    if (data.empty()) throw InvalidArgument("percentile: empty data");
+namespace {
+
+/// The closest-rank pair of percentile p over n values: the interpolation
+/// runs from rank `lo` towards rank lo + 1 by `frac`.
+struct RankPair {
+    std::size_t lo = 0;
+    double frac = 0.0;
+};
+
+RankPair closest_ranks(std::size_t n, double p) {
+    if (n == 0) throw InvalidArgument("percentile: empty data");
     if (p < 0.0 || p > 100.0) throw InvalidArgument("percentile: p out of [0,100]");
-    std::sort(data.begin(), data.end());
-    if (data.size() == 1) return data[0];
-    const double rank = p / 100.0 * static_cast<double>(data.size() - 1);
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
     const auto lo = static_cast<std::size_t>(rank);
-    const double frac = rank - static_cast<double>(lo);
-    if (lo + 1 >= data.size()) return data.back();
-    return data[lo] + frac * (data[lo + 1] - data[lo]);
+    return {lo, rank - static_cast<double>(lo)};
+}
+
+double interpolate(double lo_value, double hi_value, double frac) {
+    return lo_value + frac * (hi_value - lo_value);
+}
+
+}  // namespace
+
+double percentile(std::vector<double> data, double p) {
+    const RankPair r = closest_ranks(data.size(), p);
+    if (r.lo + 1 >= data.size()) return *std::max_element(data.begin(), data.end());
+    const auto lo = data.begin() + static_cast<std::ptrdiff_t>(r.lo);
+    std::nth_element(data.begin(), lo, data.end());
+    // Everything above the nth element is >= it, so the next rank's value
+    // is the minimum of that upper part.
+    return interpolate(*lo, *std::min_element(lo + 1, data.end()), r.frac);
+}
+
+double percentile_sorted(const std::vector<double>& sorted, double p) {
+    const RankPair r = closest_ranks(sorted.size(), p);
+    if (r.lo + 1 >= sorted.size()) return sorted.back();
+    return interpolate(sorted[r.lo], sorted[r.lo + 1], r.frac);
 }
 
 double pearson_correlation(const std::vector<double>& x, const std::vector<double>& y) {

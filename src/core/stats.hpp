@@ -33,8 +33,14 @@ private:
 };
 
 /// Percentile of a data set via linear interpolation between closest ranks.
-/// `p` in [0, 100].  Copies and sorts; intended for report-sized data.
+/// `p` in [0, 100].  Selects the two closest ranks in O(n) (nth_element,
+/// then the minimum above it), which reads the same values a full sort
+/// would put at those ranks.
 [[nodiscard]] double percentile(std::vector<double> data, double p);
+
+/// The same percentile over data already sorted ascending; O(1), so one
+/// sort can serve several quantiles of the same buffer.
+[[nodiscard]] double percentile_sorted(const std::vector<double>& sorted, double p);
 
 /// Pearson correlation coefficient of two equal-length vectors.
 [[nodiscard]] double pearson_correlation(const std::vector<double>& x,

@@ -7,7 +7,8 @@
 
 namespace zerodeg::workload {
 
-PsQueue::PsQueue(double service_rate) : rate_(service_rate) {
+PsQueue::PsQueue(double service_rate)
+    : rate_(service_rate), next_completion_(std::numeric_limits<double>::infinity()) {
     if (!(service_rate > 0.0)) {
         throw core::InvalidArgument("PsQueue: service_rate must be positive");
     }
@@ -26,6 +27,7 @@ void PsQueue::admit(std::uint64_t id, double demand, double now) {
     }
     clock_ = now;
     jobs_.push_back({id, demand});
+    refresh_next_completion();
 }
 
 void PsQueue::advance_to(double t, std::vector<Completion>& out) {
@@ -43,30 +45,33 @@ void PsQueue::advance_to(double t, std::vector<Completion>& out) {
             for (Job& j : jobs_) j.remaining -= work;
             busy_seconds_ += dt;
             clock_ = t;
+            refresh_next_completion();
             return;
         }
         busy_seconds_ += dt_to_departure;
         clock_ += dt_to_departure;
-        for (Job& j : jobs_) j.remaining -= min_rem;
-        // Pop everything drained (ties depart together, admission order).
-        std::vector<Job> still;
-        still.reserve(jobs_.size());
-        for (const Job& j : jobs_) {
+        // Serve min_rem to everyone and pop everything drained, compacting
+        // the survivors in place (ties depart together, admission order).
+        std::size_t kept = 0;
+        for (Job& j : jobs_) {
+            j.remaining -= min_rem;
             if (j.remaining <= 1e-12) {
                 out.push_back({j.id, clock_});
             } else {
-                still.push_back(j);
+                jobs_[kept++] = j;
             }
         }
-        jobs_ = std::move(still);
+        jobs_.resize(kept);
     }
     clock_ = t;
+    refresh_next_completion();
 }
 
 bool PsQueue::cancel(std::uint64_t id) {
     for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
         if (it->id == id) {
             jobs_.erase(it);
+            refresh_next_completion();
             return true;
         }
     }
@@ -76,13 +81,17 @@ bool PsQueue::cancel(std::uint64_t id) {
 void PsQueue::drop_all(std::vector<std::uint64_t>& out) {
     for (const Job& j : jobs_) out.push_back(j.id);
     jobs_.clear();
+    refresh_next_completion();
 }
 
-double PsQueue::next_completion_time() const {
-    if (jobs_.empty()) return std::numeric_limits<double>::infinity();
+void PsQueue::refresh_next_completion() {
+    if (jobs_.empty()) {
+        next_completion_ = std::numeric_limits<double>::infinity();
+        return;
+    }
     double min_rem = jobs_.front().remaining;
     for (const Job& j : jobs_) min_rem = std::min(min_rem, j.remaining);
-    return clock_ + min_rem * static_cast<double>(jobs_.size()) / rate_;
+    next_completion_ = clock_ + min_rem * static_cast<double>(jobs_.size()) / rate_;
 }
 
 double PsQueue::take_busy_seconds() {

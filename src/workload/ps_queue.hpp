@@ -11,6 +11,10 @@
 // Everything is deterministic: jobs are held in admission order, ties
 // complete in admission order, and no randomness lives here (the generators
 // own the RNG streams).
+//
+// The next departure instant is cached: every mutation recomputes it from
+// the resident jobs, so the traffic engine's per-event argmin over hosts
+// reads one double per queue instead of rescanning every queue's jobs.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +55,7 @@ public:
 
     /// Absolute time of the next departure if nothing else arrives;
     /// +infinity when idle.
-    [[nodiscard]] double next_completion_time() const;
+    [[nodiscard]] double next_completion_time() const { return next_completion_; }
 
     /// Busy time (clock seconds with >= 1 resident job) accumulated since
     /// the last call; the per-tick utilization integrand.
@@ -63,9 +67,14 @@ private:
         double remaining = 0.0;  ///< work units left
     };
 
+    /// Recompute next_completion_ from the resident jobs; called at the end
+    /// of every operation that moves the clock or the job set.
+    void refresh_next_completion();
+
     double rate_;
     double clock_ = 0.0;
     double busy_seconds_ = 0.0;
+    double next_completion_;
     std::vector<Job> jobs_;  ///< admission order
 };
 

@@ -1,5 +1,6 @@
 #include "workload/request_gen.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.hpp"
@@ -10,14 +11,12 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-/// The largest instantaneous rate the curve can reach — the thinning
-/// envelope.  Flash crowds multiply, so the envelope takes the largest one.
-double rate_envelope(const OpenLoopConfig& config) {
-    double crowd_max = 1.0;
+/// `rate` times the multiplier of every crowd active at `t`, in config order.
+double apply_crowds(const OpenLoopConfig& config, core::TimePoint t, double rate) {
     for (const FlashCrowd& c : config.flash_crowds) {
-        if (c.multiplier > crowd_max) crowd_max = c.multiplier;
+        if (t >= c.start && t < c.start + c.duration) rate *= c.multiplier;
     }
-    return config.base_rps * (1.0 + config.diurnal_amplitude) * crowd_max;
+    return rate;
 }
 
 }  // namespace
@@ -25,12 +24,23 @@ double rate_envelope(const OpenLoopConfig& config) {
 double arrival_rate(const OpenLoopConfig& config, core::TimePoint t) {
     const double day_frac = t.day_fraction();
     const double peak_frac = config.peak_hour / 24.0;
-    double rate = config.base_rps *
-                  (1.0 + config.diurnal_amplitude * std::cos(kTwoPi * (day_frac - peak_frac)));
+    return apply_crowds(config, t,
+                        config.base_rps * (1.0 + config.diurnal_amplitude *
+                                                     std::cos(kTwoPi * (day_frac - peak_frac))));
+}
+
+double rate_envelope(const OpenLoopConfig& config) {
+    // Overlapping crowds multiply, and the set of active crowds only changes
+    // at a crowd's start or end, so the largest product is found at one of
+    // those instants.  The products run in arrival_rate's order, which keeps
+    // the envelope >= the rate to the last bit.
+    const double diurnal_peak = config.base_rps * (1.0 + config.diurnal_amplitude);
+    double envelope = diurnal_peak;
     for (const FlashCrowd& c : config.flash_crowds) {
-        if (t >= c.start && t < c.start + c.duration) rate *= c.multiplier;
+        envelope = std::max(envelope, apply_crowds(config, c.start, diurnal_peak));
+        envelope = std::max(envelope, apply_crowds(config, c.start + c.duration, diurnal_peak));
     }
-    return rate;
+    return envelope;
 }
 
 OpenLoopGenerator::OpenLoopGenerator(OpenLoopConfig config, std::uint64_t master_seed,

@@ -46,6 +46,12 @@ struct OpenLoopConfig {
 /// Instantaneous arrival rate at absolute time `t` (requests per second).
 [[nodiscard]] double arrival_rate(const OpenLoopConfig& config, core::TimePoint t);
 
+/// The thinning envelope: the largest rate the curve can reach, the
+/// diurnal peak times the largest product of simultaneously active flash
+/// crowd multipliers.  arrival_rate(config, t) <= rate_envelope(config)
+/// for every t.
+[[nodiscard]] double rate_envelope(const OpenLoopConfig& config);
+
 /// Open-loop arrival sequencer: emits the Poisson arrival instants of the
 /// configured rate curve, in order, via thinning against the rate envelope.
 class OpenLoopGenerator {

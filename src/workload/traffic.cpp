@@ -62,107 +62,121 @@ std::size_t TrafficEngine::pick_host(std::optional<bool> tent_side) const {
     return best;
 }
 
-void TrafficEngine::finish_request(std::uint64_t request_id, double t) {
-    if (config_.mode != TrafficConfig::Mode::kClosed) return;
-    const auto it = requests_.find(request_id);
-    if (it == requests_.end() || it->second.user < 0) return;
-    const auto u = static_cast<std::size_t>(it->second.user);
-    user_next_issue_[u] = t + think_rng_.exponential(1.0 / config_.closed.think_seconds);
+void TrafficEngine::finish_request(int user, double t) {
+    if (config_.mode != TrafficConfig::Mode::kClosed || user < 0) return;
+    user_next_issue_[static_cast<std::size_t>(user)] =
+        t + think_rng_.exponential(1.0 / config_.closed.think_seconds);
+}
+
+TrafficEngine::RequestState* TrafficEngine::find_request(std::uint64_t request_id) {
+    if (request_id < first_request_id_) return nullptr;
+    const std::uint64_t slot = request_id - first_request_id_;
+    if (slot >= requests_.size()) return nullptr;
+    RequestState& request = requests_[static_cast<std::size_t>(slot)];
+    return request.clones == 0 ? nullptr : &request;
+}
+
+void TrafficEngine::retire(RequestState& request) {
+    request.clones = 0;
+    while (finished_prefix_ < requests_.size() && requests_[finished_prefix_].clones == 0) {
+        ++finished_prefix_;
+    }
+    // Erase the done prefix once it is at least half the table, so every
+    // slot is moved O(1) times amortized and the table stays bounded by
+    // twice the id span of the requests in flight.
+    if (2 * finished_prefix_ >= requests_.size()) {
+        requests_.erase(requests_.begin(),
+                        requests_.begin() + static_cast<std::ptrdiff_t>(finished_prefix_));
+        first_request_id_ += finished_prefix_;
+        finished_prefix_ = 0;
+    }
 }
 
 void TrafficEngine::dispatch(double t, int user) {
     ++requests_issued_;
     const std::uint64_t rid = next_request_id_++;
+    RequestState& state = requests_.emplace_back();  // slot of rid
+    state.arrival = t;
+    state.user = user;
 
     // Pick targets: least-loaded host overall, or — when cloning across the
     // split — the best tent host plus the best basement host (tent clone's
     // demand is drawn first).  Degenerates to a single clone when one side
     // has no operational host.
-    std::vector<std::size_t> targets;
+    std::array<std::size_t, kMaxClones> targets{};
+    std::size_t n_targets = 0;
     if (config_.clone_across_split) {
         const std::size_t tent = pick_host(true);
         const std::size_t cellar = pick_host(false);
-        if (tent < hosts_.size()) targets.push_back(tent);
-        if (cellar < hosts_.size()) targets.push_back(cellar);
+        if (tent < hosts_.size()) targets[n_targets++] = tent;
+        if (cellar < hosts_.size()) targets[n_targets++] = cellar;
     } else {
         const std::size_t any = pick_host(std::nullopt);
-        if (any < hosts_.size()) targets.push_back(any);
+        if (any < hosts_.size()) targets[n_targets++] = any;
     }
 
-    if (targets.empty()) {
+    if (n_targets == 0) {
         // Nowhere to run: the user saw no response at all.
         slo_.record_dropped();
-        if (config_.mode == TrafficConfig::Mode::kClosed && user >= 0) {
-            user_next_issue_[static_cast<std::size_t>(user)] =
-                t + think_rng_.exponential(1.0 / config_.closed.think_seconds);
-        }
+        finish_request(user, t);
+        retire(state);
         return;
     }
 
-    RequestState state;
-    state.arrival = t;
-    state.user = user;
-    for (std::size_t k = 0; k < targets.size(); ++k) {
+    for (std::size_t k = 0; k < n_targets; ++k) {
         const std::uint64_t clone_id = rid * 2 + k;
         queues_[targets[k]].admit(clone_id, demand_.next(), t);
-        state.placements.push_back({targets[k], clone_id});
+        state.placements[k] = {targets[k], clone_id};
         ++clones_issued_;
     }
-    requests_.emplace(rid, std::move(state));
+    state.clones = n_targets;
 }
 
-void TrafficEngine::process_completions(std::vector<PendingCompletion>& work) {
+void TrafficEngine::process_completions() {
     // FIFO so first finish genuinely wins; cancelling a sibling first
     // advances its queue to the completion instant, which can (on an exact
     // tie) surface the sibling's own completion — those join the queue and
-    // find the request already erased.
-    std::vector<PsQueue::Completion> spill;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-        const PendingCompletion pending = work[i];
-        const std::uint64_t rid = pending.completion.id / 2;
-        const auto it = requests_.find(rid);
-        if (it == requests_.end()) continue;  // sibling of an already-finished request
+    // find the request already retired.
+    for (std::size_t i = 0; i < work_.size(); ++i) {
+        const PsQueue::Completion done = work_[i];
+        RequestState* request = find_request(done.id / 2);
+        if (request == nullptr) continue;  // sibling of an already-finished request
 
-        finish_request(rid, pending.completion.time);
-        slo_.record(pending.completion.time - it->second.arrival);
-        for (const RequestState::Placement& p : it->second.placements) {
-            if (p.clone_id == pending.completion.id) continue;
+        finish_request(request->user, done.time);
+        slo_.record(done.time - request->arrival);
+        for (std::size_t k = 0; k < request->clones; ++k) {
+            const RequestState::Placement& p = request->placements[k];
+            if (p.clone_id == done.id) continue;
             PsQueue& q = queues_[p.host];
-            if (q.clock() < pending.completion.time) {
-                spill.clear();
-                q.advance_to(pending.completion.time, spill);
-                for (const PsQueue::Completion& c : spill) work.push_back({p.host, c});
-            }
+            if (q.clock() < done.time) q.advance_to(done.time, work_);
             if (q.cancel(p.clone_id)) ++clones_cancelled_;
         }
-        requests_.erase(it);
+        retire(*request);
     }
-    work.clear();
+    work_.clear();
 }
 
 void TrafficEngine::drop_jobs_on_down_hosts() {
-    std::vector<std::uint64_t> dropped;
     for (std::size_t h = 0; h < hosts_.size(); ++h) {
         host_up_[h] = (!hosts_[h].operational || hosts_[h].operational()) ? 1 : 0;
         if (host_up_[h] || queues_[h].in_service() == 0) continue;
-        dropped.clear();
-        queues_[h].drop_all(dropped);
-        for (const std::uint64_t clone_id : dropped) {
-            const std::uint64_t rid = clone_id / 2;
-            const auto it = requests_.find(rid);
-            if (it == requests_.end()) continue;
-            auto& placements = it->second.placements;
-            placements.erase(
-                std::remove_if(placements.begin(), placements.end(),
-                               [clone_id](const RequestState::Placement& p) {
-                                   return p.clone_id == clone_id;
-                               }),
-                placements.end());
-            if (placements.empty()) {
+        dropped_.clear();
+        queues_[h].drop_all(dropped_);
+        for (const std::uint64_t clone_id : dropped_) {
+            RequestState* request = find_request(clone_id / 2);
+            if (request == nullptr) continue;
+            const auto live = request->placements.begin() +
+                              static_cast<std::ptrdiff_t>(request->clones);
+            const auto kept = std::remove_if(request->placements.begin(), live,
+                                             [clone_id](const RequestState::Placement& p) {
+                                                 return p.clone_id == clone_id;
+                                             });
+            request->clones = static_cast<std::size_t>(kept - request->placements.begin());
+            if (request->clones == 0) {
                 // Every clone died with its host: the request is lost.
-                finish_request(rid, now_);
+                finish_request(request->user, now_);
                 slo_.record_dropped();
-                requests_.erase(it);
+                retire(*request);
             }
         }
     }
@@ -177,7 +191,6 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
 
     drop_jobs_on_down_hosts();
 
-    std::vector<PendingCompletion> work;
     for (;;) {
         // Next arrival: the cached open-loop instant, or the earliest
         // thinking user (ties to the lowest user index).
@@ -210,10 +223,8 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
 
         if (t_comp <= t_arr) {
             // Completions first at a tie, so admit() never skips a departure.
-            std::vector<PsQueue::Completion> done;
-            queues_[comp_host].advance_to(t_comp, done);
-            for (const PsQueue::Completion& c : done) work.push_back({comp_host, c});
-            process_completions(work);
+            queues_[comp_host].advance_to(t_comp, work_);
+            process_completions();
         } else if (config_.mode == TrafficConfig::Mode::kOpen) {
             dispatch(t_arr, -1);
             next_arrival_ = arrivals_->next_arrival();
@@ -225,14 +236,10 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
 
     // Quiet remainder of the tick: move every clock to t_end and settle the
     // busy-time integrals.  No completion can fire (the loop drained them).
-    std::vector<PsQueue::Completion> leftovers;
-    for (PsQueue& q : queues_) q.advance_to(t_end, leftovers);
-    for (const PsQueue::Completion& c : leftovers) {
-        // Defensive: only reachable through floating-point edge cases at
-        // exactly t_end; account for them rather than losing requests.
-        work.push_back({0, c});
-    }
-    if (!work.empty()) process_completions(work);
+    // Defensive: a departure here is only reachable through floating-point
+    // edge cases at exactly t_end; account for it rather than lose requests.
+    for (PsQueue& q : queues_) q.advance_to(t_end, work_);
+    if (!work_.empty()) process_completions();
     now_ = t_end;
 
     // Publish per-host busy fractions and close the SLO tick row.

@@ -24,9 +24,9 @@
 // batched engines therefore see byte-identical traffic by construction.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -92,12 +92,18 @@ public:
     [[nodiscard]] std::uint64_t requests_issued() const { return requests_issued_; }
     [[nodiscard]] std::uint64_t clones_issued() const { return clones_issued_; }
     [[nodiscard]] std::uint64_t clones_cancelled() const { return clones_cancelled_; }
-    [[nodiscard]] std::size_t in_flight() const { return requests_.size(); }
+    /// Requests dispatched and neither completed nor dropped yet.
+    [[nodiscard]] std::size_t in_flight() const {
+        return static_cast<std::size_t>(requests_issued_ - slo_.completed() - slo_.dropped());
+    }
     [[nodiscard]] std::size_t hosts() const { return hosts_.size(); }
     /// Fleet-mean busy fraction over everything simulated so far.
     [[nodiscard]] double mean_utilization() const;
 
 private:
+    /// A request occupies at most two hosts: one, or one per split side.
+    static constexpr std::size_t kMaxClones = 2;
+
     struct RequestState {
         double arrival = 0.0;
         int user = -1;  ///< closed-loop user index; -1 in open mode
@@ -105,18 +111,19 @@ private:
             std::size_t host = 0;
             std::uint64_t clone_id = 0;
         };
-        std::vector<Placement> placements;
-    };
-
-    struct PendingCompletion {
-        std::size_t host = 0;
-        PsQueue::Completion completion{};
+        std::array<Placement, kMaxClones> placements{};
+        std::size_t clones = 0;  ///< live placements; 0 once the request is done
     };
 
     void drop_jobs_on_down_hosts();
     void dispatch(double t, int user);
-    void process_completions(std::vector<PendingCompletion>& work);
-    void finish_request(std::uint64_t request_id, double t);  ///< closed-loop user re-think
+    /// Settle every completion in work_ (first finish wins), then clear it.
+    void process_completions();
+    void finish_request(int user, double t);  ///< closed-loop user re-think
+    /// The in-flight request with this id, or nullptr once it is done.
+    [[nodiscard]] RequestState* find_request(std::uint64_t request_id);
+    /// Mark a request done and trim the finished prefix of the table.
+    void retire(RequestState& request);
     /// Least-loaded operational host; restricted to one side of the split
     /// when `side` is set.  Returns hosts_.size() when none qualifies.
     [[nodiscard]] std::size_t pick_host(std::optional<bool> tent_side) const;
@@ -133,8 +140,18 @@ private:
     core::RngStream think_rng_;
     std::vector<double> user_next_issue_;  ///< closed loop; +inf while in flight
 
-    std::map<std::uint64_t, RequestState> requests_;  ///< in flight, by id
+    /// Flat table of requests by id: requests_[i] has id first_request_id_
+    /// + i.  Ids are issued in order, so new requests append; done ones keep
+    /// their slot (clones == 0) until the finished prefix is trimmed.
+    std::vector<RequestState> requests_;
+    std::uint64_t first_request_id_ = 1;
+    std::size_t finished_prefix_ = 0;  ///< leading done entries not yet trimmed
     std::uint64_t next_request_id_ = 1;
+
+    // Scratch buffers reused across events so dispatch allocates nothing.
+    std::vector<PsQueue::Completion> work_;  ///< completions awaiting settlement
+    std::vector<PsQueue::Completion> done_;  ///< one queue's departures
+    std::vector<std::uint64_t> dropped_;     ///< clone ids lost with a host
     double now_ = 0.0;  ///< seconds since origin, end of last advance
 
     SloTracker slo_;

@@ -14,6 +14,7 @@
 #include "experiment/prototype.hpp"
 #include "experiment/runner.hpp"
 #include "faults/memory_faults.hpp"
+#include "workload/slo.hpp"
 
 namespace zerodeg {
 namespace {
@@ -157,6 +158,64 @@ TEST(GoldenClaims, DefaultTrafficSeasonGoldenNumbers) {
     // The archive pipeline really was off: no batch runs, no hash checks.
     EXPECT_EQ(c.load_runs, 0u);
     EXPECT_EQ(c.wrong_hashes, 0u);
+}
+
+/// Byte-level fingerprint of one traffic season: the FNV-1a of the rendered
+/// SLO CSV pins every per-tick p50/p95/p99 bit, and the dispatch counters
+/// pin cloning and cancellation.
+struct TrafficPins {
+    std::uint64_t slo_csv_fnv = 0;
+    std::uint64_t requests_issued = 0;
+    std::uint64_t clones_issued = 0;
+    std::uint64_t clones_cancelled = 0;
+};
+
+TrafficPins traffic_pins(const experiment::ExperimentConfig& cfg) {
+    experiment::ExperimentRunner run(cfg);
+    run.run();
+    const workload::TrafficEngine& t = run.traffic();
+    return {core::fnv1a(workload::render_slo_csv(t.slo())), t.requests_issued(),
+            t.clones_issued(), t.clones_cancelled()};
+}
+
+/// Five days over the early fleet with a flash crowd inside the window.
+experiment::ExperimentConfig short_traffic_season() {
+    experiment::ExperimentConfig cfg;
+    cfg.end = core::TimePoint::from_date(2010, 2, 24);
+    cfg.workload = experiment::WorkloadKind::kTraffic;
+    cfg.traffic.open.flash_crowds = {{core::TimePoint::from_civil({2010, 2, 20, 18, 0, 0}),
+                                      core::Duration::hours(2), 3.0}};
+    return cfg;
+}
+
+TEST(GoldenClaims, DefaultTrafficSeasonSloCsvBytes) {
+    experiment::ExperimentConfig cfg;
+    cfg.workload = experiment::WorkloadKind::kTraffic;
+    const TrafficPins p = traffic_pins(cfg);
+    EXPECT_EQ(p.slo_csv_fnv, 0x462a4f0f62fcdecfULL);
+    EXPECT_EQ(p.requests_issued, 787666u);
+    EXPECT_EQ(p.clones_issued, 787666u);
+    EXPECT_EQ(p.clones_cancelled, 0u);
+}
+
+TEST(GoldenClaims, ClonedTrafficSeasonSloCsvBytes) {
+    experiment::ExperimentConfig cfg = short_traffic_season();
+    cfg.traffic.clone_across_split = true;
+    const TrafficPins p = traffic_pins(cfg);
+    EXPECT_EQ(p.slo_csv_fnv, 0x43ac16d073098cd4ULL);
+    EXPECT_EQ(p.requests_issued, 113162u);
+    EXPECT_EQ(p.clones_issued, 226324u);
+    EXPECT_EQ(p.clones_cancelled, 113159u);
+}
+
+TEST(GoldenClaims, ClosedLoopTrafficSeasonSloCsvBytes) {
+    experiment::ExperimentConfig cfg = short_traffic_season();
+    cfg.traffic.mode = workload::TrafficConfig::Mode::kClosed;
+    const TrafficPins p = traffic_pins(cfg);
+    EXPECT_EQ(p.slo_csv_fnv, 0x2e13a884d171bba1ULL);
+    EXPECT_EQ(p.requests_issued, 215693u);
+    EXPECT_EQ(p.clones_issued, 215693u);
+    EXPECT_EQ(p.clones_cancelled, 0u);
 }
 
 // --- Section 4.2.2: "around one in 570 million" --------------------------

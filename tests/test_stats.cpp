@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 
 namespace zerodeg::core {
 namespace {
@@ -82,6 +85,66 @@ TEST(Percentile, Errors) {
     EXPECT_THROW((void)percentile({}, 50.0), InvalidArgument);
     EXPECT_THROW((void)percentile({1.0}, -1.0), InvalidArgument);
     EXPECT_THROW((void)percentile({1.0}, 101.0), InvalidArgument);
+}
+
+/// The full-sort percentile: the definition the selection-based
+/// implementation must reproduce bit for bit.
+double sort_reference_percentile(std::vector<double> data, double p) {
+    std::sort(data.begin(), data.end());
+    if (data.size() == 1) return data[0];
+    const double rank = p / 100.0 * static_cast<double>(data.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const double frac = rank - static_cast<double>(lo);
+    if (lo + 1 >= data.size()) return data.back();
+    return data[lo] + frac * (data[lo + 1] - data[lo]);
+}
+
+/// n values with many duplicates: half drawn from a 7-value grid (negatives
+/// included), half continuous.
+std::vector<double> data_with_duplicates(RngStream& rng, std::size_t n) {
+    std::vector<double> data(n);
+    for (double& v : data) {
+        v = rng.chance(0.5) ? 0.25 * static_cast<double>(rng.uniform_int(-3, 3))
+                            : rng.exponential(0.1);
+    }
+    return data;
+}
+
+/// The named quantiles plus random p values, whose ranks are fractional.
+std::vector<double> probe_percentiles(RngStream& rng) {
+    std::vector<double> ps{0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0, 12.5, 100.0 / 3.0};
+    for (int i = 0; i < 8; ++i) ps.push_back(rng.uniform(0.0, 100.0));
+    return ps;
+}
+
+void expect_matches_sort_reference(const std::vector<double>& data, RngStream& rng) {
+    std::vector<double> sorted = data;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : probe_percentiles(rng)) {
+        const double want = sort_reference_percentile(data, p);
+        EXPECT_EQ(percentile(data, p), want) << "n = " << data.size() << ", p = " << p;
+        EXPECT_EQ(percentile_sorted(sorted, p), want) << "n = " << data.size() << ", p = " << p;
+    }
+}
+
+TEST(Percentile, SelectionMatchesFullSortBitForBitOnSmallSizes) {
+    RngStream rng(20100219, "test.percentile.small");
+    for (std::size_t n = 1; n <= 300; ++n) {
+        expect_matches_sort_reference(data_with_duplicates(rng, n), rng);
+    }
+}
+
+TEST(Percentile, SelectionMatchesFullSortBitForBitOnALargeBuffer) {
+    RngStream rng(20100219, "test.percentile.large");
+    expect_matches_sort_reference(data_with_duplicates(rng, 100000), rng);
+}
+
+TEST(Percentile, SortedVariantChecksItsArguments) {
+    EXPECT_DOUBLE_EQ(percentile_sorted({1.0, 2.0, 3.0, 4.0, 5.0}, 12.5), 1.5);
+    EXPECT_DOUBLE_EQ(percentile_sorted({7.0}, 99.0), 7.0);
+    EXPECT_THROW((void)percentile_sorted({}, 50.0), InvalidArgument);
+    EXPECT_THROW((void)percentile_sorted({1.0}, -1.0), InvalidArgument);
+    EXPECT_THROW((void)percentile_sorted({1.0}, 101.0), InvalidArgument);
 }
 
 TEST(Correlation, PerfectPositiveAndNegative) {
