@@ -7,7 +7,8 @@
 #      (tools/zerodeg_lint over the tree + the checker's own unit tests)
 #   2. the whole-project analyzer in the WERROR tree: include-graph layering
 #      (ZD015), RNG-stream collisions (ZD016), ErrorCode discards (ZD017),
-#      float reductions (ZD018), stale suppressions (ZD097) — JSON findings
+#      float reductions (ZD018), unsequenced RNG draws (ZD019), stale
+#      suppressions (ZD097) — JSON findings
 #      for a stable diffable failure summary, and build/include_graph.dot
 #      left behind as a reviewable artifact
 #   3. the `parallel` label rebuilt under ThreadSanitizer — the data-race

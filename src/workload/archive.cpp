@@ -42,7 +42,13 @@ bool is_zero_record(const std::uint8_t* rec) {
 }  // namespace
 
 std::vector<std::uint8_t> write_archive(const std::vector<CorpusFile>& files) {
+    const auto padded = [](std::size_t n) {
+        return (n + kRecordSize - 1) / kRecordSize * kRecordSize;
+    };
+    std::size_t total = 2 * kRecordSize;
+    for (const CorpusFile& f : files) total += kRecordSize + padded(f.contents.size());
     std::vector<std::uint8_t> out;
+    out.reserve(total);
     for (const CorpusFile& f : files) {
         if (f.path.size() >= kNameLen) {
             throw core::InvalidArgument("write_archive: path too long: " + f.path);
@@ -60,8 +66,7 @@ std::vector<std::uint8_t> write_archive(const std::vector<CorpusFile>& files) {
 
         out.insert(out.end(), rec, rec + kRecordSize);
         out.insert(out.end(), f.contents.begin(), f.contents.end());
-        const std::size_t pad = (kRecordSize - f.contents.size() % kRecordSize) % kRecordSize;
-        out.insert(out.end(), pad, 0);
+        out.resize(out.size() + padded(f.contents.size()) - f.contents.size(), 0);
     }
     // End-of-archive: two zero records.
     out.insert(out.end(), 2 * kRecordSize, 0);

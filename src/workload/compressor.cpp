@@ -17,30 +17,42 @@ constexpr std::size_t kMinRun = 4;
 }  // namespace
 
 std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data) {
-    std::vector<std::uint8_t> out;
-    out.reserve(data.size());
+    // Every input byte takes at most three output bytes (an escaped escape
+    // byte), so one buffer of that size holds any encoding.
+    std::vector<std::uint8_t> out(3 * data.size());
+    std::uint8_t* o = out.data();
+    const std::size_t n = data.size();
     std::size_t i = 0;
-    while (i < data.size()) {
+    while (i < n) {
         const std::uint8_t b = data[i];
+        if (b != kEsc && (i + 1 == n || data[i + 1] != b)) {
+            // A literal that does not start a run: the common case.
+            *o++ = b;
+            ++i;
+            continue;
+        }
         std::size_t run = 1;
         // Longest encodable run: count byte 255 => 255 + kMinRun - 1 bytes.
-        while (i + run < data.size() && data[i + run] == b && run < 254 + kMinRun) ++run;
+        while (i + run < n && data[i + run] == b && run < 254 + kMinRun) ++run;
         if (run >= kMinRun) {
-            out.push_back(kEsc);
-            out.push_back(b);
-            out.push_back(static_cast<std::uint8_t>(run - kMinRun + 1));  // 1..252ish
+            o[0] = kEsc;
+            o[1] = b;
+            o[2] = static_cast<std::uint8_t>(run - kMinRun + 1);  // 1..255
+            o += 3;
             i += run;
         } else if (b == kEsc) {
             // Escaped literal escape byte: run field 0.
-            out.push_back(kEsc);
-            out.push_back(kEsc);
-            out.push_back(0);
+            o[0] = kEsc;
+            o[1] = kEsc;
+            o[2] = 0;
+            o += 3;
             ++i;
         } else {
-            out.push_back(b);
+            *o++ = b;
             ++i;
         }
     }
+    out.resize(static_cast<std::size_t>(o - out.data()));
     return out;
 }
 
@@ -69,26 +81,29 @@ std::vector<std::uint8_t> rle_decode(std::span<const std::uint8_t> data) {
     return out;
 }
 
-void BitWriter::put(std::uint32_t bits, int count) {
-    if (count < 0 || count > 32) throw core::InvalidArgument("BitWriter::put: bad count");
-    if (count == 0) return;
-    // MSB-first within the given count, appended whole rather than bit by
-    // bit; emits the same byte stream as the original single-bit loop.
-    const std::uint64_t mask = count == 32 ? 0xffffffffull : (1ull << count) - 1;
-    acc_ = (acc_ << count) | (static_cast<std::uint64_t>(bits) & mask);
-    acc_bits_ += count;
+BitWriter::BitWriter(std::span<const std::uint8_t> prefix, std::size_t expected_bytes)
+    : bytes_(prefix.size() + expected_bytes), size_(prefix.size()) {
+    std::copy(prefix.begin(), prefix.end(), bytes_.begin());
+}
+
+void BitWriter::grow() { bytes_.resize(std::max<std::size_t>(2 * bytes_.size(), size_ + 64)); }
+
+void BitWriter::throw_bad_count() { throw core::InvalidArgument("BitWriter::put: bad count"); }
+
+std::vector<std::uint8_t> BitWriter::finish() {
+    // At most 31 pending bits: whole bytes, then the last partial byte,
+    // zero-padded at its low end.
+    bytes_.resize(size_);
     while (acc_bits_ >= 8) {
         acc_bits_ -= 8;
         bytes_.push_back(static_cast<std::uint8_t>((acc_ >> acc_bits_) & 0xff));
     }
-}
-
-std::vector<std::uint8_t> BitWriter::finish() {
     if (acc_bits_ > 0) {
         bytes_.push_back(static_cast<std::uint8_t>((acc_ << (8 - acc_bits_)) & 0xff));
-        acc_ = 0;
-        acc_bits_ = 0;
     }
+    acc_ = 0;
+    acc_bits_ = 0;
+    size_ = 0;
     return std::move(bytes_);
 }
 
@@ -316,13 +331,14 @@ std::vector<std::uint8_t> huffman_encode_block(std::span<const std::uint8_t> rle
     const std::vector<std::uint8_t> lengths = huffman_code_lengths(freq);
     const std::vector<std::uint32_t> codes = canonical_codes(lengths);
 
-    std::vector<std::uint8_t> out(lengths.begin(), lengths.end());  // 257-byte table
-    BitWriter writer;
+    // The payload is the 257-byte length table plus sum(freq * length) bits,
+    // so its exact size is known before a bit is written.
+    std::uint64_t bits = 0;
+    for (std::size_t s = 0; s < kSymbols; ++s) bits += freq[s] * lengths[s];
+    BitWriter writer(lengths, static_cast<std::size_t>((bits + 7) / 8));
     for (const std::uint8_t b : rle) writer.put(codes[b], lengths[b]);
     writer.put(codes[kEob], lengths[kEob]);
-    const std::vector<std::uint8_t> bits = writer.finish();
-    out.insert(out.end(), bits.begin(), bits.end());
-    return out;
+    return writer.finish();
 }
 
 std::vector<std::uint8_t> huffman_decode_block(std::span<const std::uint8_t> payload,
@@ -379,6 +395,9 @@ std::vector<std::uint8_t> frost_compress(std::span<const std::uint8_t> data,
                                          CompressorConfig config) {
     const std::size_t blocks = frost_block_count(data.size(), config);
     std::vector<std::uint8_t> out;
+    // A payload never exceeds its block (larger ones are stored raw), so the
+    // container is at most the data plus the stream and block headers.
+    out.reserve(12 + 17 * blocks + data.size());
     // Byte-wise append: gcc 12's -Wstringop-overflow misfires on the
     // char* range insert into a freshly-allocated vector.
     for (const char c : kStreamMagic) out.push_back(static_cast<std::uint8_t>(c));

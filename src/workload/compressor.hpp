@@ -66,16 +66,46 @@ namespace frost_detail {
 [[nodiscard]] std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data);
 [[nodiscard]] std::vector<std::uint8_t> rle_decode(std::span<const std::uint8_t> data);
 
-/// LSB-first bit writer/reader.
+/// MSB-first bit writer/reader.
 class BitWriter {
 public:
-    void put(std::uint32_t bits, int count);
+    BitWriter() = default;
+    /// Start the output with a copy of `prefix`, with room for
+    /// `expected_bytes` more before the buffer has to grow.
+    BitWriter(std::span<const std::uint8_t> prefix, std::size_t expected_bytes);
+
+    /// Append the low `count` bits of `bits`, most significant first.
+    /// `count` must be in [0, 32].  Inline: the encoder calls it per symbol.
+    void put(std::uint32_t bits, int count) {
+        if (count < 0 || count > 32) [[unlikely]] throw_bad_count();
+        // Whole 32-bit words leave the accumulator as soon as they fill;
+        // bits above acc_bits_ are stale and never read.
+        acc_ = (acc_ << count) | (static_cast<std::uint64_t>(bits) & ((1ull << count) - 1));
+        acc_bits_ += count;
+        if (acc_bits_ >= 32) {
+            acc_bits_ -= 32;
+            if (bytes_.size() - size_ < 4) [[unlikely]] grow();
+            const auto word = static_cast<std::uint32_t>(acc_ >> acc_bits_);
+            std::uint8_t* out = bytes_.data() + size_;
+            out[0] = static_cast<std::uint8_t>(word >> 24);
+            out[1] = static_cast<std::uint8_t>(word >> 16);
+            out[2] = static_cast<std::uint8_t>(word >> 8);
+            out[3] = static_cast<std::uint8_t>(word);
+            size_ += 4;
+        }
+    }
+    /// Flush the pending bits, zero-padding the last byte, and hand back
+    /// the buffer.
     [[nodiscard]] std::vector<std::uint8_t> finish();
 
 private:
-    std::vector<std::uint8_t> bytes_;
-    std::uint64_t acc_ = 0;
-    int acc_bits_ = 0;
+    [[noreturn]] static void throw_bad_count();
+    void grow();
+
+    std::vector<std::uint8_t> bytes_;  ///< bytes_[0, size_) written, the rest room
+    std::size_t size_ = 0;
+    std::uint64_t acc_ = 0;  ///< pending bits in its low acc_bits_ bits
+    int acc_bits_ = 0;       ///< always < 32 between calls
 };
 
 class BitReader {

@@ -28,7 +28,26 @@ struct CorpusConfig {
     std::size_t top_level_dirs = 8;
 };
 
-/// Deterministic for a given (config, seed).
+/// Deterministic for a given (config, seed).  Every draw comes from the one
+/// stream RngStream(seed, "corpus"), in this order, which the pinned
+/// archives and containers, the memory-flip offsets and the golden census
+/// all depend on:
+///
+///   per file:      directory, file stem, size factor uniform(0.5, 1.5), then
+///                  functions until the text reaches its target size;
+///   per function:  callee and identifier of its name, return type, argument
+///                  count, per argument its name then its type, statement
+///                  count, then per statement its kind followed by
+///     declaration  initial value, variable, type
+///     call         argument, callee, assigned variable
+///     check        right operand, left operand
+///     comment      the held object, the lock ("lock must hold held")
+///     loop         body argument, body callee, step variable, bound,
+///                  condition variable, initialised variable.
+///
+/// Within a line this is right to left: the order GCC 12 gave the draws
+/// when each line was one expression, whose evaluation order the language
+/// leaves unspecified.  Each draw is now a named local (lint ZD019).
 class SyntheticCorpus {
 public:
     SyntheticCorpus(CorpusConfig config, std::uint64_t seed);

@@ -31,8 +31,8 @@ Md5Digest Md5Checkpoints::resume(std::span<const std::uint8_t> data,
 
 LoadJob::LoadJob(LoadJobConfig config, std::uint64_t seed)
     : config_(config), flip_rng_(seed, "loadjob.flips") {
-    const SyntheticCorpus corpus(config.corpus, seed);
-    archive_ = write_archive(corpus.files());
+    // The corpus is a temporary: it is freed before the compressor runs.
+    archive_ = write_archive(SyntheticCorpus(config.corpus, seed).files());
 
     // Pick a block size that yields ~target_blocks blocks, as the paper's
     // corpus did under bzip2's 900k blocks (396 blocks there).

@@ -1,7 +1,9 @@
 #include "workload/compressor.hpp"
 
 #include <gtest/gtest.h>
+
 #include <cmath>
+#include <string_view>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -111,6 +113,38 @@ TEST(Bitstream, ReadPastEndThrows) {
     for (int i = 0; i < 8; ++i) (void)r.bit();
     EXPECT_TRUE(r.exhausted());
     EXPECT_THROW((void)r.bit(), core::CorruptData);
+}
+
+// Reference writer: every bit appended one at a time, MSB-first within each
+// code, then packed MSB-first into bytes with a zero-padded last byte.
+std::vector<std::uint8_t> pack_bit_by_bit(
+    const std::vector<std::pair<std::uint32_t, int>>& codes) {
+    std::vector<bool> bits;
+    for (const auto& [code, len] : codes) {
+        for (int i = len - 1; i >= 0; --i) bits.push_back(((code >> i) & 1u) != 0);
+    }
+    std::vector<std::uint8_t> out((bits.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        if (bits[i]) out[i / 8] = static_cast<std::uint8_t>(out[i / 8] | (0x80u >> (i % 8)));
+    }
+    return out;
+}
+
+TEST(Bitstream, MatchesABitByBitReference) {
+    core::RngStream rng(5, "bitwriter");
+    for (int trial = 0; trial < 200; ++trial) {
+        // Codes carry stray high bits above `len`: the writer must mask them.
+        std::vector<std::pair<std::uint32_t, int>> codes;
+        const auto n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto code = static_cast<std::uint32_t>(rng.next_u64());
+            const auto len = static_cast<int>(rng.uniform_int(1, 32));
+            codes.emplace_back(code, len);
+        }
+        BitWriter w;
+        for (const auto& [code, len] : codes) w.put(code, len);
+        EXPECT_EQ(w.finish(), pack_bit_by_bit(codes)) << "trial " << trial;
+    }
 }
 
 TEST(Bitstream, BadPutCountThrows) {
@@ -266,6 +300,41 @@ TEST_P(FrostBlockSizes, RoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FrostBlockSizes,
                          ::testing::Values(1024, 3000, 4096, 10000, 16384, 65536, 1 << 20));
+
+// --- pinned container bytes ---------------------------------------------------
+
+std::uint64_t fnv_of(const std::vector<std::uint8_t>& bytes) {
+    return core::fnv1a(
+        std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+}
+
+TEST(FrostPins, ContainerBytesArePinned) {
+    // Runs of every length 1..300 (past the 258-byte cap); every third run
+    // is of the escape byte.
+    std::vector<std::uint8_t> runs;
+    for (std::size_t n = 1; n <= 300; ++n) {
+        const std::uint8_t value = n % 3 == 0 ? 0xf7 : static_cast<std::uint8_t>(n);
+        runs.insert(runs.end(), n, value);
+    }
+    core::RngStream rng(1, "noise");
+    std::vector<std::uint8_t> noise(8192);
+    for (auto& b : noise) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const auto text = sample_data(40 * 1024 + 123);
+    CompressorConfig small;
+    small.block_size = 1024;
+    CompressorConfig large;
+    large.block_size = 16 * 1024;
+
+    EXPECT_EQ(fnv_of(frost_compress(std::vector<std::uint8_t>{})), 0x5519dfec6f5d5fceULL);
+    EXPECT_EQ(fnv_of(frost_compress(bytes_of({0x41}))), 0x9218b16522e01755ULL);
+    EXPECT_EQ(fnv_of(frost_compress(std::vector<std::uint8_t>(5000, 0xf7))), 0xc95fdb9b54f46087ULL);
+    EXPECT_EQ(fnv_of(frost_compress(runs)), 0xca6a46c7e8bcc67fULL);
+    const auto stored = frost_compress(noise, small);
+    for (const BlockInfo& b : frost_block_directory(stored)) EXPECT_EQ(b.method, 0);
+    EXPECT_EQ(fnv_of(stored), 0x93a8ee28c5421b67ULL);
+    EXPECT_EQ(fnv_of(frost_compress(text, small)), 0x74806a5a072b0dadULL);
+    EXPECT_EQ(fnv_of(frost_compress(text, large)), 0xea9b24eb5ac54211ULL);
+}
 
 }  // namespace
 }  // namespace zerodeg::workload

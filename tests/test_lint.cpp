@@ -1,6 +1,6 @@
 // Unit tests for tools/lint — one synthetic snippet per check id, plus the
 // suppression grammar, the meta checks (ZD097/ZD098/ZD099), the baseline
-// round-trip, and the whole-project pass (ZD015–ZD018) driven over in-memory
+// round-trip, and the whole-project pass (ZD015–ZD019) driven over in-memory
 // fixture trees.  These exercise the checker API directly; the tree-wide
 // gates are the separate `lint_tree`/`lint_project` CTests
 // (tools/CMakeLists.txt).
@@ -615,6 +615,91 @@ TEST(LintProject, ParallelSeamAndIntegerAccumulateAreExempt) {
         {"src/faults/census.cpp", "void g() { stats.accumulate(1.5); }\n"},
     });
     EXPECT_TRUE(analyze_project(model).diagnostics.empty());
+}
+
+// ZD019: each case is one function over a stream parameter `rng`.
+[[nodiscard]] std::vector<std::size_t> zd019_lines(const std::string& body) {
+    const auto model = make_model({
+        {"src/workload/gen.cpp",
+         "int f(core::RngStream& rng, core::RngStream& other, std::vector<int>& v) {\n" + body +
+             "\n}\n"},
+    });
+    std::vector<std::size_t> lines;
+    for (const Diagnostic& d : analyze_project(model).diagnostics) {
+        EXPECT_EQ(d.id, "ZD019");
+        lines.push_back(d.line);
+    }
+    return lines;
+}
+
+TEST(LintProject, TwoDrawsAsOperandsOfArithmeticAreZD019) {
+    const std::vector<std::size_t> line2{2};
+    EXPECT_EQ(zd019_lines("return rng.uniform_int(0, 3) + rng.uniform_int(0, 3);"), line2);
+    EXPECT_EQ(zd019_lines("double x = rng.uniform01() * (2.0 - rng.uniform01());"), line2);
+    EXPECT_EQ(zd019_lines("return pick(rng, kA) < pick(rng, kB);"), line2);
+    EXPECT_EQ(zd019_lines("s += \"\\t\" + pick(rng, kTypes) + \" \" + pick(rng, kIdents);"),
+              line2);
+    // `<<` binds tighter than `|`: the `|` is what separates the draws.
+    EXPECT_EQ(zd019_lines("return rng.next_u64() << 1 | rng.next_u64();"), line2);
+    // A statement wrapped over two lines is reported at its first draw.
+    EXPECT_EQ(zd019_lines("int x = 1;\n"
+                          "return rng.uniform_int(0, 3) +\n"
+                          "       rng.uniform_int(0, 3);"),
+              (std::vector<std::size_t>{3}));
+}
+
+TEST(LintProject, TwoDrawsAsArgumentsOfOneCallAreZD019) {
+    const std::vector<std::size_t> line2{2};
+    EXPECT_EQ(zd019_lines("std::snprintf(b, n, \"%s_%s\", pick(rng, kA), pick(rng, kB));"), line2);
+    EXPECT_EQ(zd019_lines("net.add(Cap{rng.uniform01()}, Temp{rng.uniform01()});"), line2);
+    EXPECT_EQ(zd019_lines("use(rng.next_u64(), shuffle(v, rng));"), line2);
+}
+
+TEST(LintProject, SequencedDrawsAreNotZD019) {
+    // &&, ||, ?:, <<, `,` as an operator, assignment and separate statements
+    // all fix the order; so do nesting, braced lists and chained calls.
+    for (const char* body : {
+             "return rng.chance(0.5) && rng.chance(0.5);",
+             "return rng.chance(0.5) || rng.chance(0.5);",
+             "return c ? rng.uniform_int(0, 1) : rng.uniform_int(2, 3);",
+             "return rng.chance(0.5) ? rng.uniform_int(0, 1) : 0;",
+             "os << rng.next_u64() << ' ' << rng.next_u64();",
+             "(void)rng.next_u64(), (void)rng.next_u64();",
+             "v[rng.uniform_int(0, 3)] = rng.uniform_int(0, 9);",
+             "const auto a = rng.next_u64();\nconst auto b = rng.next_u64();\nreturn a + b;",
+             "return rng.uniform_int(0, rng.uniform_int(1, 9));",
+             "return pick(rng, kList[rng.uniform_int(0, 3)]);",
+             "return Pair{rng.next_u64(), rng.next_u64()}.first;",
+             "out.append(pick(rng, kA)).append(pick(rng, kB));",
+             "return h(rng, rng);",
+             "call(rng.next_u64(), [&] { return rng.next_u64(); });",
+             "for (int i = rng.uniform_int(0, 3); i < 9; i += rng.uniform_int(1, 2)) f(i);",
+             "return static_cast<int>(rng.next_u64()) << static_cast<int>(rng.next_u64());",
+             // Two different streams, and names that are not streams.
+             "return rng.uniform_int(0, 3) + other.uniform_int(0, 3);",
+             "return v.size() + v.size();",
+         }) {
+        EXPECT_TRUE(zd019_lines(body).empty()) << body;
+    }
+}
+
+TEST(LintProject, StreamMemberDeclaredInAHeaderIsZD019InItsSource) {
+    const char* source =
+        "#include \"workload/job.hpp\"\n"
+        "int Job::flip() { return flip_rng_.uniform_int(0, 7) * flip_rng_.uniform_int(0, 7); }\n";
+    const auto model = make_model({
+        {"src/workload/job.hpp", "#pragma once\nclass Job {\n  core::RngStream flip_rng_;\n};\n"},
+        {"src/workload/job.cpp", source},
+        // The same spelling in a file that does not see the header is not a
+        // stream as far as the analyzer can tell.
+        {"src/workload/other.cpp",
+         "int g(Dice& flip_rng_) { return flip_rng_.roll() + flip_rng_.roll(); }\n"},
+    });
+    const auto report = analyze_project(model);
+    ASSERT_EQ(report.diagnostics.size(), 1u);
+    EXPECT_EQ(report.diagnostics[0].id, "ZD019");
+    EXPECT_EQ(report.diagnostics[0].file, "src/workload/job.cpp");
+    EXPECT_EQ(report.diagnostics[0].line, 2u);
 }
 
 TEST(LintProject, ReasonedSuppressionSilencesProjectChecks) {

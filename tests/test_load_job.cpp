@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string_view>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "workload/archive.hpp"
 
 namespace zerodeg::workload {
 namespace {
@@ -250,6 +253,55 @@ TEST(LoadJob, CachedRunsMatchTheFullPipelineForTheSameFlipStream) {
         EXPECT_GT(wrong, 0);
     }
 }
+
+// --- byte pins ------------------------------------------------------------
+
+// The archive, container and digest are pinned by value, not only by
+// run-twice determinism: a reordered RNG draw in the corpus generator or an
+// off-by-one bit flush in the encoder changes every one of them.
+
+std::uint64_t fnv_of(const std::vector<std::uint8_t>& bytes) {
+    return core::fnv1a(
+        std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+}
+
+struct BytePin {
+    std::size_t corpus_bytes;
+    std::uint64_t seed;
+    std::uint64_t archive_fnv;
+    std::uint64_t container_fnv;
+    const char* digest;
+    std::size_t container_bytes;
+};
+
+void PrintTo(const BytePin& p, std::ostream* os) {
+    *os << p.corpus_bytes << "B_seed" << p.seed;
+}
+
+class LoadJobBytes : public ::testing::TestWithParam<BytePin> {};
+
+TEST_P(LoadJobBytes, ArchiveContainerAndDigestArePinned) {
+    const BytePin& pin = GetParam();
+    LoadJobConfig cfg;
+    cfg.corpus.total_bytes = pin.corpus_bytes;
+    const LoadJob job(cfg, pin.seed);
+    EXPECT_EQ(fnv_of(write_archive(SyntheticCorpus(cfg.corpus, pin.seed).files())),
+              pin.archive_fnv);
+    EXPECT_EQ(fnv_of(job.reference_container()), pin.container_fnv);
+    EXPECT_EQ(to_hex(job.reference_digest()), pin.digest);
+    EXPECT_EQ(job.container_bytes(), pin.container_bytes);
+}
+
+constexpr std::size_t kDefaultBytes = CorpusConfig{}.total_bytes;
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, LoadJobBytes,
+    ::testing::Values(BytePin{kDefaultBytes, 20100219, 0x35be94fd4b8fa269ULL,
+                              0xbe01b7d99969b1bdULL, "6fc4458a5f38fc88b4726b5f6130fc59", 1445826},
+                      BytePin{kDefaultBytes, 20110219, 0x39f4a4ef64510b8bULL,
+                              0xa21f64b9a024a003ULL, "744c2c7990bfbd57b828ad7de51ec791", 1449976},
+                      BytePin{300000, 7, 0x694e50ce9bb2b483ULL, 0x473c3cace8e2330bULL,
+                              "5c3734f21fd958311c5f3388af775bb8", 283828}));
 
 }  // namespace
 }  // namespace zerodeg::workload

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <vector>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
 
 namespace zerodeg::workload {
 namespace {
@@ -113,6 +115,66 @@ TEST(Md5Test, HexFormat) {
     EXPECT_EQ(hex.size(), 32u);
     EXPECT_EQ(hex.substr(0, 2), "0f");
     EXPECT_EQ(hex.substr(30, 2), "f0");
+}
+
+// --- pinned digests of a fixed pattern --------------------------------------
+
+// 100 kB of a fixed, non-periodic byte pattern.  Its digests at lengths
+// around the padding and block boundaries are pinned by value, so the
+// compression function itself is checked, not only its self-consistency.
+std::vector<std::uint8_t> pattern_buffer() {
+    std::vector<std::uint8_t> buf(100000);
+    std::uint32_t x = 0x9e3779b9u;
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+        x = x * 1664525u + 1013904223u;
+        buf[i] = static_cast<std::uint8_t>(x >> 24);
+    }
+    return buf;
+}
+
+TEST(Md5Test, PinnedDigestsOfAPatternBuffer) {
+    struct Pin {
+        std::size_t length;
+        const char* digest;
+    };
+    const Pin pins[] = {
+        {0, "d41d8cd98f00b204e9800998ecf8427e"},
+        {1, "9d5ed678fe57bcca610140957afab571"},
+        {55, "1ab5c451c6162ebb5110fe8e094ee0b1"},
+        {56, "d5d4b6ec386acad04ea0ba864b0482a0"},
+        {63, "20c409740453eec1b69206d484ff4fd3"},
+        {64, "c2816d196ccaedfe73439329c0353a79"},
+        {65, "74b99a35cbfdfbf370c7b53be0811385"},
+        {127, "59b5d9414c89ad32ff7227122a775bd4"},
+        {128, "f8a95a5ae2e99ede797843cb809fcc4c"},
+        {1000, "460055fdc1d5b140168fe671b8a65e90"},
+        {99999, "6159f734c427d19a6e5e68aba3fcfe3c"},
+    };
+    const std::vector<std::uint8_t> buf = pattern_buffer();
+    for (const Pin& pin : pins) {
+        EXPECT_EQ(to_hex(md5(std::span(buf).first(pin.length))), pin.digest) << pin.length;
+    }
+}
+
+TEST(Md5Test, RandomChunkedUpdatesEqualTheOneShotDigest) {
+    const std::vector<std::uint8_t> buf = pattern_buffer();
+    const std::span<const std::uint8_t> all(buf);
+    core::RngStream rng(11, "md5.chunks");
+    for (int trial = 0; trial < 40; ++trial) {
+        const auto length = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(buf.size())));
+        const std::int64_t max_chunk = trial % 2 == 0 ? 130 : 5000;
+        Md5 h;
+        std::size_t off = 0;
+        while (off < length) {
+            const auto want = static_cast<std::size_t>(rng.uniform_int(0, max_chunk));
+            const std::size_t take = std::min(want, length - off);
+            h.update(all.subspan(off, take));
+            off += take;
+        }
+        EXPECT_EQ(to_hex(h.finalize()), to_hex(md5(all.first(length))))
+            << "trial " << trial << " length " << length;
+    }
 }
 
 }  // namespace

@@ -71,10 +71,12 @@ TEST_P(RcEquilibrium, SettledNetworkMatchesLocalEquilibrium) {
     thermal::ThermalNetwork net;
     const int nodes = static_cast<int>(rng.uniform_int(2, 6));
     for (int i = 0; i < nodes; ++i) {
-        net.add_node("n" + std::to_string(i),
-                     core::JoulesPerKelvin{rng.uniform(500.0, 5000.0)},
-                     Celsius{rng.uniform(-20.0, 40.0)},
-                     core::WattsPerKelvin{rng.uniform(0.5, 10.0)});
+        // Named draws, in the order the three arguments were drawn before.
+        const double to_ambient = rng.uniform(0.5, 10.0);
+        const double initial = rng.uniform(-20.0, 40.0);
+        const double capacity = rng.uniform(500.0, 5000.0);
+        net.add_node("n" + std::to_string(i), core::JoulesPerKelvin{capacity}, Celsius{initial},
+                     core::WattsPerKelvin{to_ambient});
         net.set_power(static_cast<std::size_t>(i), core::Watts{rng.uniform(0.0, 200.0)});
     }
     for (int i = 1; i < nodes; ++i) {

@@ -16,7 +16,7 @@ namespace {
 // Check table
 // ---------------------------------------------------------------------------
 
-constexpr std::array<CheckInfo, 21> kChecks{{
+constexpr std::array<CheckInfo, 22> kChecks{{
     {"ZD001", Severity::kError,
      "banned C RNG (rand/srand): unseeded, platform-varying, not stream-isolated"},
     {"ZD002", Severity::kError,
@@ -54,6 +54,9 @@ constexpr std::array<CheckInfo, 21> kChecks{{
     {"ZD018", Severity::kError,
      "[project] non-associative float reduction (std::accumulate/std::reduce over "
      "floating accumulators) outside the core/parallel.hpp ordered-reduce seam"},
+    {"ZD019", Severity::kError,
+     "[project] two draws from one RngStream in one unsequenced expression (operands of "
+     "+/arithmetic or arguments of one call): the draw order is up to the compiler"},
     {"ZD097", Severity::kError,
      "zerodeg-lint suppression whose line no longer triggers the allowed check"},
     {"ZD098", Severity::kError, "zerodeg-lint suppression without a reason string"},
@@ -588,7 +591,7 @@ bool is_known_check(std::string_view id) {
 }
 
 bool is_project_check(std::string_view id) {
-    return id == "ZD015" || id == "ZD016" || id == "ZD017" || id == "ZD018";
+    return id == "ZD015" || id == "ZD016" || id == "ZD017" || id == "ZD018" || id == "ZD019";
 }
 
 bool is_baselinable_check(std::string_view id) {
@@ -634,7 +637,7 @@ std::vector<Diagnostic> lint_source(std::string_view path, std::string_view cont
             }
             // ZD097: a reasoned allowance for a per-file check that its
             // target line no longer triggers is a stale waiver.  Project-mode
-            // ids (ZD015-ZD018) are judged by the project analyzer, which is
+            // ids (ZD015-ZD019) are judged by the project analyzer, which is
             // the only pass that can see whether they fire.
             if (!s.has_reason || is_project_check(id)) continue;
             const bool used = std::any_of(all.begin(), all.end(), [&](const Diagnostic& d) {

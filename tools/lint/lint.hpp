@@ -60,7 +60,7 @@ struct CheckInfo {
 /// True if `id` names a known check (including the meta checks ZD097–ZD099).
 [[nodiscard]] bool is_known_check(std::string_view id);
 
-/// True if `id` is a whole-project check (ZD015–ZD018): these only fire in
+/// True if `id` is a whole-project check (ZD015–ZD019): these only fire in
 /// `--project` mode, so per-file ZD097 staleness reasoning must leave their
 /// suppressions to the project analyzer.
 [[nodiscard]] bool is_project_check(std::string_view id);

@@ -39,7 +39,8 @@ options:
   --write-baseline   rewrite the --baseline file from current findings
   --project          also run the whole-project pass (include-graph layering
                      ZD015, RNG-stream collisions ZD016, ErrorCode discards
-                     ZD017, float reductions ZD018); always scans the full
+                     ZD017, float reductions ZD018, unsequenced RNG draws
+                     ZD019); always scans the full
                      tree regardless of subdir arguments
   --graph-dot FILE   write the module include graph as Graphviz dot
                      (implies --project)

@@ -220,6 +220,307 @@ void extract_reductions(FileScan& out, const FlatCode& flat) {
               [](const FloatReduction& a, const FloatReduction& b) { return a.line < b.line; });
 }
 
+void extract_rng_names(FileScan& out, const FlatCode& flat) {
+    // `RngStream name`, `RngStream& name`, `const RngStream* name`: members,
+    // locals and parameters alike.  A function returning a stream is recorded
+    // too; it is never drawn from by name, so it is harmless.
+    const std::string_view text = flat.text;
+    for (std::size_t pos = find_token(text, "RngStream"); pos != std::string_view::npos;
+         pos = find_token(text, "RngStream", pos + 1)) {
+        std::size_t i = pos + 9;
+        while (true) {
+            i = skip_ws(text, i);
+            if (i < text.size() && (text[i] == '&' || text[i] == '*')) {
+                ++i;
+            } else if (text.compare(i, 5, "const") == 0 && i + 5 < text.size() &&
+                       !is_ident_char(text[i + 5])) {
+                i += 5;
+            } else {
+                break;
+            }
+        }
+        const std::size_t start = i;
+        while (i < text.size() && is_ident_char(text[i])) ++i;
+        if (i > start) out.rng_names.emplace_back(text.substr(start, i - start));
+    }
+    std::sort(out.rng_names.begin(), out.rng_names.end());
+    out.rng_names.erase(std::unique(out.rng_names.begin(), out.rng_names.end()),
+                        out.rng_names.end());
+}
+
+/// Bracket structure of one full-expression: for every position, the
+/// innermost open bracket strictly enclosing it, and its nesting depth.
+struct Brackets {
+    static constexpr std::size_t kNone = std::string_view::npos;
+    std::vector<std::size_t> enclosing;  ///< innermost open bracket, or kNone
+    std::vector<int> depth;
+    std::vector<std::size_t> close;      ///< for an open bracket: its match
+};
+
+[[nodiscard]] Brackets scan_brackets(std::string_view expr) {
+    Brackets b;
+    b.enclosing.assign(expr.size(), Brackets::kNone);
+    b.depth.assign(expr.size(), 0);
+    b.close.assign(expr.size(), expr.size());
+    std::vector<std::size_t> open;
+    for (std::size_t i = 0; i < expr.size(); ++i) {
+        const char c = expr[i];
+        if ((c == ')' || c == ']' || c == '}') && !open.empty()) {
+            b.close[open.back()] = i;
+            open.pop_back();
+        }
+        b.enclosing[i] = open.empty() ? Brackets::kNone : open.back();
+        b.depth[i] = static_cast<int>(open.size());
+        if (c == '(' || c == '[' || c == '{') open.push_back(i);
+    }
+    return b;
+}
+
+[[nodiscard]] std::size_t prev_significant(std::string_view s, std::size_t i) {
+    while (i > 0) {
+        --i;
+        if (std::isspace(static_cast<unsigned char>(s[i])) == 0) return i;
+    }
+    return std::string_view::npos;
+}
+
+/// True when the `(` at `open` starts a call's argument list rather than a
+/// parenthesised expression or a control statement's condition.
+[[nodiscard]] bool is_call_paren(std::string_view expr, std::size_t open) {
+    const std::size_t p = prev_significant(expr, open);
+    if (p == std::string_view::npos) return false;
+    const char c = expr[p];
+    if (c == ')' || c == ']' || c == '>') return true;
+    if (!is_ident_char(c)) return false;
+    std::size_t start = p;
+    while (start > 0 && is_ident_char(expr[start - 1])) --start;
+    const std::string_view word = expr.substr(start, p + 1 - start);
+    for (const std::string_view keyword :
+         {"if", "while", "for", "switch", "return", "catch", "sizeof", "decltype", "case",
+          "throw", "and", "or", "not"}) {
+        if (word == keyword) return false;
+    }
+    return std::isdigit(static_cast<unsigned char>(expr[start])) == 0;
+}
+
+struct DrawSpan {
+    std::size_t begin = 0;  ///< inclusive
+    std::size_t end = 0;    ///< exclusive
+    bool operator==(const DrawSpan&) const = default;
+};
+
+/// Binding strength of a binary operator (higher binds tighter), or -1 for
+/// a token that is not one.  `sequenced` is set for the operators whose left
+/// operand is evaluated before their right one: `,` `;` `=` (and compound
+/// assignment) `?:` `&&` `||` `<<` `>>`.
+[[nodiscard]] int binary_precedence(std::string_view op, bool& sequenced) {
+    struct Entry {
+        std::string_view op;
+        int precedence;
+        bool sequenced;
+    };
+    static constexpr Entry kTable[] = {
+        {";", 0, true},   {",", 1, true},   {"=", 2, true},   {"+=", 2, true},
+        {"-=", 2, true},  {"*=", 2, true},  {"/=", 2, true},  {"%=", 2, true},
+        {"&=", 2, true},  {"|=", 2, true},  {"^=", 2, true},  {"<<=", 2, true},
+        {">>=", 2, true}, {"?", 2, true},   {":", 2, true},   {"||", 3, true},
+        {"&&", 4, true},  {"|", 5, false},  {"^", 6, false},  {"&", 7, false},
+        {"==", 8, false}, {"!=", 8, false}, {"<", 9, false},  {">", 9, false},
+        {"<=", 9, false}, {">=", 9, false}, {"<=>", 9, false}, {"<<", 10, true},
+        {">>", 10, true}, {"+", 11, false}, {"-", 11, false}, {"*", 12, false},
+        {"/", 12, false}, {"%", 12, false},
+    };
+    for (const Entry& e : kTable) {
+        if (e.op == op) {
+            sequenced = e.sequenced;
+            return e.precedence;
+        }
+    }
+    return -1;
+}
+
+/// The operator spelled at `i` (longest match), or an empty view.
+[[nodiscard]] std::string_view operator_at(std::string_view s, std::size_t i) {
+    static constexpr std::string_view kOps[] = {
+        "<<=", ">>=", "<=>", "->*", "::", "->", "++", "--", "<<", ">>", "<=", ">=", "==",
+        "!=",  "&&",  "||",  "+=",  "-=", "*=", "/=", "%=", "&=", "|=", "^=", ".*", "+",
+        "-",   "*",   "/",   "%",   "<",  ">",  "&",  "|",  "^",  "=",  "?",  ":",  ",",
+        ";",   "!",   "~",   ".",
+    };
+    for (const std::string_view op : kOps) {
+        if (s.compare(i, op.size(), op) == 0) return op;
+    }
+    return {};
+}
+
+/// Whether the draws `a` and `b` (a before b, disjoint) in `expr` may be
+/// evaluated in either order.
+[[nodiscard]] bool draws_unsequenced(std::string_view expr, const Brackets& br, DrawSpan a,
+                                     DrawSpan b) {
+    // The innermost bracket enclosing both draws.
+    std::vector<std::size_t> a_chain;
+    for (std::size_t o = br.enclosing[a.begin]; o != Brackets::kNone; o = br.enclosing[o]) {
+        a_chain.push_back(o);
+    }
+    std::size_t common = Brackets::kNone;
+    for (std::size_t o = br.enclosing[b.begin]; o != Brackets::kNone; o = br.enclosing[o]) {
+        if (std::find(a_chain.begin(), a_chain.end(), o) != a_chain.end()) {
+            common = o;
+            break;
+        }
+    }
+    if (common != Brackets::kNone && expr[common] == '{') return false;  // init list
+    const int region_depth = common == Brackets::kNone ? 0 : br.depth[common] + 1;
+    if (common != Brackets::kNone && expr[common] == '(' && is_call_paren(expr, common)) {
+        for (std::size_t i = a.end; i < b.begin; ++i) {
+            if (br.depth[i] == region_depth && expr[i] == ',') return true;  // two arguments
+        }
+    }
+    // One operand chain: the loosest-binding binary operator between the two
+    // draws is the one whose operands they are.
+    int loosest = 100;
+    bool loosest_sequenced = true;
+    bool after_operand = true;  // the operand holding `a`
+    for (std::size_t i = a.end; i < b.begin;) {
+        const char c = expr[i];
+        if (br.depth[i] != region_depth || std::isspace(static_cast<unsigned char>(c)) != 0) {
+            ++i;
+            continue;
+        }
+        if (c == '(' || c == '[' || c == '{') {
+            i = br.close[i] + 1;
+            after_operand = true;
+            continue;
+        }
+        if (is_ident_char(c)) {
+            while (i < b.begin && is_ident_char(expr[i])) ++i;
+            // Template arguments: `name<...>` straight before `(`, `{` or `::`.
+            if (i < b.begin && expr[i] == '<') {
+                std::size_t k = i;
+                int angle = 0;
+                for (; k < b.begin; ++k) {
+                    if (expr[k] == '<') ++angle;
+                    if (expr[k] == '>' && --angle == 0) break;
+                    if (expr[k] == ';' || expr[k] == '{' || expr[k] == '&' || expr[k] == '|') {
+                        k = b.begin;
+                    }
+                }
+                const std::size_t next = k < b.begin ? skip_ws(expr, k + 1) : b.begin;
+                if (next < b.begin && (expr[next] == '(' || expr[next] == '{' ||
+                                       expr.compare(next, 2, "::") == 0)) {
+                    i = k + 1;
+                }
+            }
+            after_operand = true;
+            continue;
+        }
+        const std::string_view op = operator_at(expr, i);
+        if (op.empty()) {
+            ++i;
+            continue;
+        }
+        i += op.size();
+        if (op == "::" || op == "." || op == "->" || op == ".*" || op == "->*") {
+            after_operand = false;  // a member name follows
+            continue;
+        }
+        if (op == "++" || op == "--" || op == "!" || op == "~" || !after_operand) continue;
+        bool sequenced = false;
+        const int precedence = binary_precedence(op, sequenced);
+        if (precedence < 0) continue;
+        after_operand = false;
+        if (precedence < loosest) {
+            loosest = precedence;
+            loosest_sequenced = sequenced;
+        }
+    }
+    return loosest < 100 && !loosest_sequenced;
+}
+
+void extract_unsequenced_draws(FileScan& out, const FlatCode& flat) {
+    // Full-expressions are the spans between `;`/`{`/`}` at paren depth 0,
+    // as for ZD017.  A draw is a call on an identifier (`x.f(...)`,
+    // `x->f(...)`) or a call that is passed it as a whole argument
+    // (`g(..., x, ...)`), and covers that call's argument list: a draw
+    // nested inside another's arguments runs first.  Draws in a lambda body
+    // run when the lambda does, so they are left out.
+    const std::string_view text = flat.text;
+    const auto analyze = [&](std::size_t begin, std::size_t end) {
+        const std::string_view expr = text.substr(begin, end - begin);
+        const Brackets br = scan_brackets(expr);
+        std::map<std::string, std::vector<DrawSpan>> draws;
+        for (std::size_t i = 0; i < expr.size();) {
+            if (!is_ident_char(expr[i]) || (i > 0 && is_ident_char(expr[i - 1]))) {
+                ++i;
+                continue;
+            }
+            const std::size_t start = i;
+            while (i < expr.size() && is_ident_char(expr[i])) ++i;
+            if (std::isdigit(static_cast<unsigned char>(expr[start])) != 0) continue;
+            bool in_lambda = false;
+            for (std::size_t o = br.enclosing[start]; o != Brackets::kNone; o = br.enclosing[o]) {
+                if (expr[o] != '{') continue;
+                const std::size_t p = prev_significant(expr, o);
+                if (p != std::string_view::npos && (expr[p] == ')' || expr[p] == ']')) {
+                    in_lambda = true;
+                }
+            }
+            if (in_lambda) continue;
+            std::size_t j = skip_ws(expr, i);
+            const bool member = j < expr.size() && expr[j] == '.';
+            const bool arrow = expr.compare(j, 2, "->") == 0;
+            if (member || arrow) {
+                j = skip_ws(expr, j + (arrow ? 2 : 1));
+                const std::size_t method = j;
+                while (j < expr.size() && is_ident_char(expr[j])) ++j;
+                j = skip_ws(expr, j);
+                if (j > method && j < expr.size() && expr[j] == '(') {
+                    draws[std::string(expr.substr(start, i - start))].push_back(
+                        {start, br.close[j] + 1});
+                }
+                continue;
+            }
+            const std::size_t before = prev_significant(expr, start);
+            const std::size_t open = br.enclosing[start];
+            if (before == std::string_view::npos || (expr[before] != '(' && expr[before] != ',') ||
+                j >= expr.size() || (expr[j] != ')' && expr[j] != ',') ||
+                open == Brackets::kNone || expr[open] != '(' || !is_call_paren(expr, open)) {
+                continue;
+            }
+            draws[std::string(expr.substr(start, i - start))].push_back({open, br.close[open] + 1});
+        }
+        for (auto& [name, spans] : draws) {
+            std::sort(spans.begin(), spans.end(), [](const DrawSpan& x, const DrawSpan& y) {
+                return x.begin != y.begin ? x.begin < y.begin : x.end > y.end;
+            });
+            spans.erase(std::unique(spans.begin(), spans.end()), spans.end());
+            bool found = false;
+            for (std::size_t x = 0; x < spans.size() && !found; ++x) {
+                for (std::size_t y = x + 1; y < spans.size() && !found; ++y) {
+                    if (spans[y].begin < spans[x].end) continue;  // nested: runs first
+                    if (!draws_unsequenced(expr, br, spans[x], spans[y])) continue;
+                    out.unsequenced_draws.push_back({flat.line_of[begin + spans[x].begin], name});
+                    found = true;
+                }
+            }
+        }
+    };
+    std::size_t stmt_start = 0;
+    int pdepth = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if (c == '(') ++pdepth;
+        if (c == ')') --pdepth;
+        if (pdepth != 0 || (c != ';' && c != '{' && c != '}')) continue;
+        analyze(stmt_start, i);
+        stmt_start = i + 1;
+    }
+    std::sort(out.unsequenced_draws.begin(), out.unsequenced_draws.end(),
+              [](const UnsequencedDraws& a, const UnsequencedDraws& b) {
+                  return a.line != b.line ? a.line < b.line : a.name < b.name;
+              });
+}
+
 // ---------------------------------------------------------------------------
 // Pass 2 helpers
 // ---------------------------------------------------------------------------
@@ -324,6 +625,8 @@ FileScan scan_file(std::string path, std::string_view content) {
     if (is_header) extract_error_fns(out, lexed.lines);
     extract_bare_calls(out, flat);
     extract_reductions(out, flat);
+    extract_rng_names(out, flat);
+    extract_unsequenced_draws(out, flat);
     out.suppressions = parse_suppressions(lexed.lines);
     return out;
 }
@@ -513,6 +816,29 @@ ProjectReport analyze_project(const ProjectModel& model) {
                  r.what + " over a floating accumulator is order-sensitive",
                  "float addition is not associative; use the ordered reduce in "
                  "core/parallel.hpp so results are byte-identical for any --jobs");
+        }
+    }
+
+    // --- ZD019: two draws from one RngStream in one unsequenced expression
+    // A stream member is declared in a header and drawn from in the .cpp, so
+    // a name counts when the file itself or a project header it includes
+    // declares it as a RngStream.
+    for (const FileScan& f : model.files) {
+        if (f.unsequenced_draws.empty()) continue;
+        std::set<std::string> rng_names(f.rng_names.begin(), f.rng_names.end());
+        for (const IncludeEdge& inc : f.includes) {
+            if (inc.resolved.empty()) continue;
+            const FileScan& header = *by_path.at(inc.resolved);
+            rng_names.insert(header.rng_names.begin(), header.rng_names.end());
+        }
+        for (const UnsequencedDraws& u : f.unsequenced_draws) {
+            if (rng_names.count(u.name) == 0) continue;
+            emit(found, f, u.line, "ZD019",
+                 "two draws from RngStream '" + u.name +
+                     "' in one expression: their order is unspecified",
+                 "operands of + (or any arithmetic) and the arguments of one call may be "
+                 "evaluated in any order, so the values depend on the compiler; take each "
+                 "draw into a named local, in the intended order");
         }
     }
 

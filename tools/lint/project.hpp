@@ -13,6 +13,8 @@
 //   ZD016  RNG stream-name literal constructed from two different files
 //   ZD017  bare statement discarding a known ErrorCode-returning function
 //   ZD018  std::accumulate/std::reduce over floats outside core/parallel.hpp
+//   ZD019  two draws from one RngStream in one unsequenced expression (the
+//          stream may be declared in a header and drawn from in a .cpp)
 //
 // plus ZD097 staleness for suppressions that name the project checks (the
 // per-file pass cannot know whether those fire, so it leaves them to us).
@@ -76,6 +78,15 @@ struct FloatReduction {
     std::string what;  ///< the qualified spelling found
 };
 
+/// Two draws from one identifier in one full-expression whose order the
+/// language leaves open: operands of the same arithmetic operator, or
+/// arguments of the same call.  Pass 2 reports those whose identifier is
+/// declared somewhere in the project as a RngStream.
+struct UnsequencedDraws {
+    std::size_t line = 0;  ///< of the earlier draw
+    std::string name;
+};
+
 /// One function declared with an ErrorCode return type (harvested from
 /// headers only — that is where the contract lives).
 struct ErrorFn {
@@ -92,6 +103,8 @@ struct FileScan {
     std::vector<ErrorFn> error_fns;
     std::vector<BareCall> bare_calls;
     std::vector<FloatReduction> reductions;
+    std::vector<std::string> rng_names;  ///< declared `RngStream [&*] name`
+    std::vector<UnsequencedDraws> unsequenced_draws;
     std::vector<Suppression> suppressions;
     std::vector<std::uint64_t> fingerprints;  ///< per line, for baseline keys
 };
@@ -127,7 +140,7 @@ struct ModuleGraph {
 };
 
 struct ProjectReport {
-    std::vector<Diagnostic> diagnostics;  ///< ZD015-ZD018 + project ZD097, sorted
+    std::vector<Diagnostic> diagnostics;  ///< ZD015-ZD019 + project ZD097, sorted
     ModuleGraph graph;
     std::size_t files_scanned = 0;
 };
