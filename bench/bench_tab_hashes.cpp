@@ -8,6 +8,9 @@
 #include "experiment/census.hpp"
 #include "experiment/report.hpp"
 #include "experiment/runner.hpp"
+#include "workload/archive.hpp"
+#include "workload/compressor.hpp"
+#include "workload/corpus.hpp"
 #include "workload/md5.hpp"
 
 namespace {
@@ -102,6 +105,65 @@ void bm_load_job_clean_run(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_load_job_clean_run);
+
+// The LoadJob build by stage, on the default corpus: frost_plan (RLE
+// counts and code lengths) and frost_emit (bits, CRCs, headers), then the
+// first run of a fresh job, which plans only when it is clean and also emits
+// when it corrupts.
+
+struct DefaultArchive {
+    std::vector<std::uint8_t> bytes;
+    workload::CompressorConfig config;
+};
+
+const DefaultArchive& default_archive() {
+    static const DefaultArchive archive = [] {
+        const workload::LoadJobConfig cfg;
+        DefaultArchive a;
+        a.bytes = workload::write_archive(workload::SyntheticCorpus(cfg.corpus, 2010).files());
+        a.config.block_size = workload::LoadJob(cfg, 2010).compressor_config().block_size;
+        return a;
+    }();
+    return archive;
+}
+
+void bm_frost_plan(benchmark::State& state) {
+    const DefaultArchive& a = default_archive();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(workload::frost_plan(a.bytes, a.config).container_bytes);
+    }
+}
+BENCHMARK(bm_frost_plan)->Unit(benchmark::kMillisecond);
+
+void bm_frost_emit(benchmark::State& state) {
+    const DefaultArchive& a = default_archive();
+    const workload::FrostPlan plan = workload::frost_plan(a.bytes, a.config);
+    for (auto _ : state) {
+        const std::vector<std::uint8_t> container = workload::frost_emit(a.bytes, plan);
+        benchmark::DoNotOptimize(container.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(bm_frost_emit)->Unit(benchmark::kMillisecond);
+
+void load_job_first_run(benchmark::State& state, double flip_probability) {
+    faults::MemoryFaultParams params;
+    params.flip_probability_per_page_op = flip_probability;
+    for (auto _ : state) {
+        workload::LoadJob job(workload::LoadJobConfig{}, 2010);
+        faults::MemoryFaultModel mem(params, core::RngStream(1, "m"));
+        benchmark::DoNotOptimize(job.run(mem, false).hash_ok);
+    }
+}
+
+void bm_load_job_first_run_clean(benchmark::State& state) { load_job_first_run(state, 0.0); }
+BENCHMARK(bm_load_job_first_run_clean)->Unit(benchmark::kMillisecond);
+
+// About 116 flips in a run's ~116k page ops: the first run always corrupts.
+void bm_load_job_first_run_corrupting(benchmark::State& state) {
+    load_job_first_run(state, 1e-3);
+}
+BENCHMARK(bm_load_job_first_run_corrupting)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -54,6 +54,9 @@ void validate(const ExperimentConfig& config) {
         fail("switch_defect_mean_hours must be positive");
     }
     if (config.load.target_blocks == 0) fail("load.target_blocks must be nonzero");
+    if (!workload::LoadJobConfig::valid_page_op_multiplier(config.load.page_op_multiplier)) {
+        fail("load.page_op_multiplier must be finite and in [0, 1e6]");
+    }
     if (config.load.corpus.total_bytes == 0) fail("load.corpus.total_bytes must be nonzero");
     if (config.load.corpus.mean_file_bytes == 0) {
         fail("load.corpus.mean_file_bytes must be nonzero");

@@ -1,8 +1,9 @@
 #include "workload/compressor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <queue>
+#include <iterator>
 
 #include "core/error.hpp"
 #include "workload/crc32.hpp"
@@ -12,22 +13,25 @@ namespace zerodeg::workload {
 namespace frost_detail {
 
 namespace {
+
 constexpr std::uint8_t kEsc = 0xf7;
 constexpr std::size_t kMinRun = 4;
-}  // namespace
+constexpr std::size_t kSymbols = 257;  // 256 byte values + EOB
+constexpr std::uint32_t kEob = 256;
 
-std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data) {
-    // Every input byte takes at most three output bytes (an escaped escape
-    // byte), so one buffer of that size holds any encoding.
-    std::vector<std::uint8_t> out(3 * data.size());
-    std::uint8_t* o = out.data();
+/// The one RLE scanner: hands the escape-coded stream of `data` to `sink`
+/// one byte at a time.  rle_encode buffers the stream, frost_plan counts
+/// its symbols and frost_emit Huffman-codes them, so the planner and the
+/// emitter never hold it in memory.
+template <class Sink>
+void rle_scan(std::span<const std::uint8_t> data, Sink&& sink) {
     const std::size_t n = data.size();
     std::size_t i = 0;
     while (i < n) {
         const std::uint8_t b = data[i];
         if (b != kEsc && (i + 1 == n || data[i + 1] != b)) {
             // A literal that does not start a run: the common case.
-            *o++ = b;
+            sink(b);
             ++i;
             continue;
         }
@@ -35,23 +39,31 @@ std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data) {
         // Longest encodable run: count byte 255 => 255 + kMinRun - 1 bytes.
         while (i + run < n && data[i + run] == b && run < 254 + kMinRun) ++run;
         if (run >= kMinRun) {
-            o[0] = kEsc;
-            o[1] = b;
-            o[2] = static_cast<std::uint8_t>(run - kMinRun + 1);  // 1..255
-            o += 3;
+            sink(kEsc);
+            sink(b);
+            sink(static_cast<std::uint8_t>(run - kMinRun + 1));  // 1..255
             i += run;
         } else if (b == kEsc) {
             // Escaped literal escape byte: run field 0.
-            o[0] = kEsc;
-            o[1] = kEsc;
-            o[2] = 0;
-            o += 3;
+            sink(kEsc);
+            sink(kEsc);
+            sink(std::uint8_t{0});
             ++i;
         } else {
-            *o++ = b;
+            sink(b);
             ++i;
         }
     }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data) {
+    // Every input byte takes at most three output bytes (an escaped escape
+    // byte), so one buffer of that size holds any encoding.
+    std::vector<std::uint8_t> out(3 * data.size());
+    std::uint8_t* o = out.data();
+    rle_scan(data, [&o](std::uint8_t b) { *o++ = b; });
     out.resize(static_cast<std::size_t>(o - out.data()));
     return out;
 }
@@ -81,12 +93,21 @@ std::vector<std::uint8_t> rle_decode(std::span<const std::uint8_t> data) {
     return out;
 }
 
-BitWriter::BitWriter(std::span<const std::uint8_t> prefix, std::size_t expected_bytes)
-    : bytes_(prefix.size() + expected_bytes), size_(prefix.size()) {
-    std::copy(prefix.begin(), prefix.end(), bytes_.begin());
+void BitWriter::grow(std::size_t more) {
+    bytes_.resize(std::max<std::size_t>(2 * bytes_.size(), size_ + more + 64));
 }
 
-void BitWriter::grow() { bytes_.resize(std::max<std::size_t>(2 * bytes_.size(), size_ + 64)); }
+void BitWriter::put_bytes(std::span<const std::uint8_t> bytes) {
+    if (acc_bits_ % 8 != 0) throw core::InvalidArgument("BitWriter::put_bytes: not byte-aligned");
+    const std::size_t pending = static_cast<std::size_t>(acc_bits_ / 8);
+    if (bytes_.size() - size_ < pending + bytes.size()) grow(pending + bytes.size());
+    while (acc_bits_ > 0) {
+        acc_bits_ -= 8;
+        bytes_[size_++] = static_cast<std::uint8_t>((acc_ >> acc_bits_) & 0xff);
+    }
+    if (!bytes.empty()) std::memcpy(bytes_.data() + size_, bytes.data(), bytes.size());
+    size_ += bytes.size();
+}
 
 void BitWriter::throw_bad_count() { throw core::InvalidArgument("BitWriter::put: bad count"); }
 
@@ -135,55 +156,56 @@ int BitReader::peek(int want, std::uint32_t& window) {
 
 bool BitReader::exhausted() const { return pos_ >= bytes_.size() && buf_bits_ == 0; }
 
-std::vector<std::uint8_t> huffman_code_lengths(const std::vector<std::uint64_t>& freq) {
-    struct Node {
-        std::uint64_t weight;
-        int index;  ///< tie-break for determinism
-        int left = -1;
-        int right = -1;
-        int symbol = -1;
-    };
-    std::vector<Node> nodes;
-    auto cmp = [&nodes](int a, int b) {
-        if (nodes[a].weight != nodes[b].weight) return nodes[a].weight > nodes[b].weight;
-        return nodes[a].index > nodes[b].index;
-    };
-    std::priority_queue<int, std::vector<int>, decltype(cmp)> heap(cmp);
-
+std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> freq) {
+    // Two queues instead of a heap: the leaves sorted by (weight, symbol),
+    // and the merged nodes in the order they are made, which is also
+    // nondecreasing weight.  Taking the leaf on a weight tie reproduces the
+    // heap's (weight, creation index) order, since every leaf is created
+    // before every merged node.
+    std::vector<std::uint32_t> symbols;
     for (std::size_t s = 0; s < freq.size(); ++s) {
-        if (freq[s] == 0) continue;
-        nodes.push_back({freq[s], static_cast<int>(nodes.size()), -1, -1, static_cast<int>(s)});
-        heap.push(static_cast<int>(nodes.size()) - 1);
+        if (freq[s] != 0) symbols.push_back(static_cast<std::uint32_t>(s));
     }
-    if (nodes.empty()) throw core::InvalidArgument("huffman_code_lengths: no symbols");
+    if (symbols.empty()) throw core::InvalidArgument("huffman_code_lengths: no symbols");
 
     std::vector<std::uint8_t> lengths(freq.size(), 0);
-    if (nodes.size() == 1) {
-        lengths[static_cast<std::size_t>(nodes[0].symbol)] = 1;
+    const std::size_t leaves = symbols.size();
+    if (leaves == 1) {
+        lengths[symbols[0]] = 1;
         return lengths;
     }
-    while (heap.size() > 1) {
-        const int a = heap.top();
-        heap.pop();
-        const int b = heap.top();
-        heap.pop();
-        nodes.push_back({nodes[a].weight + nodes[b].weight, static_cast<int>(nodes.size()), a, b,
-                         -1});
-        heap.push(static_cast<int>(nodes.size()) - 1);
-    }
-    // Depth-first depth assignment from the root.
-    const int root = heap.top();
-    std::vector<std::pair<int, int>> stack{{root, 0}};
-    while (!stack.empty()) {
-        const auto [n, depth] = stack.back();
-        stack.pop_back();
-        if (nodes[n].symbol >= 0) {
-            lengths[static_cast<std::size_t>(nodes[n].symbol)] =
-                static_cast<std::uint8_t>(std::max(depth, 1));
-        } else {
-            stack.emplace_back(nodes[n].left, depth + 1);
-            stack.emplace_back(nodes[n].right, depth + 1);
+    std::stable_sort(symbols.begin(), symbols.end(),
+                     [&freq](std::uint32_t a, std::uint32_t b) { return freq[a] < freq[b]; });
+
+    // Nodes [0, leaves) are the sorted leaves, [leaves, 2 * leaves - 1) the
+    // merged nodes in creation order; the last one is the root.
+    const std::size_t nodes = 2 * leaves - 1;
+    std::vector<std::uint64_t> weight(nodes);
+    std::vector<std::size_t> parent(nodes, 0);
+    for (std::size_t k = 0; k < leaves; ++k) weight[k] = freq[symbols[k]];
+    std::size_t next_leaf = 0;
+    std::size_t next_merged = leaves;
+    std::size_t created = leaves;
+    const auto take_lightest = [&] {
+        if (next_leaf < leaves &&
+            (next_merged == created || weight[next_leaf] <= weight[next_merged])) {
+            return next_leaf++;
         }
+        return next_merged++;
+    };
+    while (created < nodes) {
+        const std::size_t a = take_lightest();
+        const std::size_t b = take_lightest();
+        weight[created] = weight[a] + weight[b];
+        parent[a] = created;
+        parent[b] = created;
+        ++created;
+    }
+    // Depths from the root down: every parent is made after its children.
+    std::vector<int> depth(nodes, 0);
+    for (std::size_t k = nodes - 1; k-- > 0;) depth[k] = depth[parent[k]] + 1;
+    for (std::size_t k = 0; k < leaves; ++k) {
+        lengths[symbols[k]] = static_cast<std::uint8_t>(depth[k]);
     }
     return lengths;
 }
@@ -211,9 +233,6 @@ std::vector<std::uint32_t> canonical_codes(const std::vector<std::uint8_t>& leng
 }
 
 namespace {
-
-constexpr std::size_t kSymbols = 257;  // 256 byte values + EOB
-constexpr std::uint32_t kEob = 256;
 
 /// Canonical decoder: per-length first-code / first-symbol-index tables,
 /// fronted by a primary lookup table that resolves codes of up to
@@ -324,23 +343,6 @@ private:
     std::vector<PrimaryEntry> primary_;
 };
 
-std::vector<std::uint8_t> huffman_encode_block(std::span<const std::uint8_t> rle) {
-    std::vector<std::uint64_t> freq(kSymbols, 0);
-    for (const std::uint8_t b : rle) ++freq[b];
-    freq[kEob] = 1;
-    const std::vector<std::uint8_t> lengths = huffman_code_lengths(freq);
-    const std::vector<std::uint32_t> codes = canonical_codes(lengths);
-
-    // The payload is the 257-byte length table plus sum(freq * length) bits,
-    // so its exact size is known before a bit is written.
-    std::uint64_t bits = 0;
-    for (std::size_t s = 0; s < kSymbols; ++s) bits += freq[s] * lengths[s];
-    BitWriter writer(lengths, static_cast<std::size_t>((bits + 7) / 8));
-    for (const std::uint8_t b : rle) writer.put(codes[b], lengths[b]);
-    writer.put(codes[kEob], lengths[kEob]);
-    return writer.finish();
-}
-
 std::vector<std::uint8_t> huffman_decode_block(std::span<const std::uint8_t> payload,
                                                std::size_t expected_rle_max) {
     if (payload.size() < kSymbols) throw core::CorruptData("frost: payload shorter than table");
@@ -368,12 +370,14 @@ namespace {
 
 constexpr char kStreamMagic[4] = {'F', 'Z', '0', '1'};
 constexpr std::uint32_t kBlockMagic = 0xb10cb10cu;
+constexpr std::size_t kStreamHeaderBytes = 12;
+constexpr std::size_t kBlockHeaderBytes = 17;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-    out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
+void put_u32(std::uint8_t* out, std::uint32_t v) {
+    out[0] = static_cast<std::uint8_t>(v & 0xff);
+    out[1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
+    out[2] = static_cast<std::uint8_t>((v >> 16) & 0xff);
+    out[3] = static_cast<std::uint8_t>((v >> 24) & 0xff);
 }
 
 std::uint32_t get_u32(std::span<const std::uint8_t> bytes, std::size_t off) {
@@ -391,40 +395,94 @@ std::size_t frost_block_count(std::size_t data_size, CompressorConfig config) {
     return data_size == 0 ? 0 : (data_size + config.block_size - 1) / config.block_size;
 }
 
-std::vector<std::uint8_t> frost_compress(std::span<const std::uint8_t> data,
-                                         CompressorConfig config) {
+FrostPlan frost_plan(std::span<const std::uint8_t> data, CompressorConfig config) {
     const std::size_t blocks = frost_block_count(data.size(), config);
-    std::vector<std::uint8_t> out;
-    // A payload never exceeds its block (larger ones are stored raw), so the
-    // container is at most the data plus the stream and block headers.
-    out.reserve(12 + 17 * blocks + data.size());
-    // Byte-wise append: gcc 12's -Wstringop-overflow misfires on the
-    // char* range insert into a freshly-allocated vector.
-    for (const char c : kStreamMagic) out.push_back(static_cast<std::uint8_t>(c));
-    put_u32(out, static_cast<std::uint32_t>(blocks));
-    put_u32(out, static_cast<std::uint32_t>(config.block_size));
-
+    FrostPlan plan;
+    plan.config = config;
+    plan.data_size = data.size();
+    plan.container_bytes = kStreamHeaderBytes;
+    plan.blocks.reserve(blocks);
     for (std::size_t b = 0; b < blocks; ++b) {
         const std::size_t off = b * config.block_size;
         const std::size_t len = std::min(config.block_size, data.size() - off);
-        const auto block = data.subspan(off, len);
 
-        const std::vector<std::uint8_t> rle = frost_detail::rle_encode(block);
-        std::vector<std::uint8_t> payload = frost_detail::huffman_encode_block(rle);
-        std::uint8_t method = 1;
-        if (payload.size() >= len) {
-            payload.assign(block.begin(), block.end());
-            method = 0;
+        std::array<std::uint64_t, frost_detail::kSymbols> freq{};
+        frost_detail::rle_scan(data.subspan(off, len), [&freq](std::uint8_t s) { ++freq[s]; });
+        freq[frost_detail::kEob] = 1;
+        std::vector<std::uint8_t> lengths = frost_detail::huffman_code_lengths(freq);
+
+        // The payload is the 257-byte length table plus sum(freq * length)
+        // bits; one that is not smaller than the block is stored raw.
+        std::uint64_t bits = 0;
+        for (std::size_t s = 0; s < frost_detail::kSymbols; ++s) bits += freq[s] * lengths[s];
+        const std::uint64_t coded = frost_detail::kSymbols + (bits + 7) / 8;
+
+        FrostBlockPlan block;
+        block.orig_size = static_cast<std::uint32_t>(len);
+        if (coded < len) {
+            block.method = 1;
+            block.comp_size = static_cast<std::uint32_t>(coded);
+            block.lengths = std::move(lengths);
+        } else {
+            block.method = 0;
+            block.comp_size = static_cast<std::uint32_t>(len);
         }
-
-        put_u32(out, kBlockMagic);
-        put_u32(out, static_cast<std::uint32_t>(len));
-        put_u32(out, static_cast<std::uint32_t>(payload.size()));
-        put_u32(out, crc32(block));
-        out.push_back(method);
-        out.insert(out.end(), payload.begin(), payload.end());
+        plan.container_bytes += kBlockHeaderBytes + block.comp_size;
+        plan.blocks.push_back(std::move(block));
     }
-    return out;
+    return plan;
+}
+
+std::vector<std::uint8_t> frost_emit(std::span<const std::uint8_t> data, const FrostPlan& plan) {
+    const std::size_t blocks = frost_block_count(data.size(), plan.config);
+    if (data.size() != plan.data_size || plan.blocks.size() != blocks) {
+        throw core::InvalidArgument("frost_emit: the plan is for other data");
+    }
+    frost_detail::BitWriter out(plan.container_bytes);
+    std::array<std::uint8_t, kStreamHeaderBytes> stream_header{};
+    std::copy(std::begin(kStreamMagic), std::end(kStreamMagic), stream_header.begin());
+    put_u32(stream_header.data() + 4, static_cast<std::uint32_t>(blocks));
+    put_u32(stream_header.data() + 8, static_cast<std::uint32_t>(plan.config.block_size));
+    out.put_bytes(stream_header);
+
+    for (std::size_t b = 0; b < blocks; ++b) {
+        const FrostBlockPlan& bp = plan.blocks[b];
+        const std::size_t off = b * plan.config.block_size;
+        const auto block = data.subspan(off, std::min(plan.config.block_size, data.size() - off));
+
+        std::array<std::uint8_t, kBlockHeaderBytes> header{};
+        put_u32(header.data(), kBlockMagic);
+        put_u32(header.data() + 4, static_cast<std::uint32_t>(block.size()));
+        put_u32(header.data() + 8, bp.comp_size);
+        put_u32(header.data() + 12, crc32(block));
+        header[16] = bp.method;
+        out.put_bytes(header);
+        const std::size_t payload_end = out.bytes_written() + bp.comp_size;
+
+        if (bp.method == 0) {
+            out.put_bytes(block);
+        } else if (bp.method == 1 && bp.lengths.size() == frost_detail::kSymbols) {
+            out.put_bytes(bp.lengths);
+            const std::vector<std::uint32_t> codes = frost_detail::canonical_codes(bp.lengths);
+            const std::uint8_t* lengths = bp.lengths.data();
+            frost_detail::rle_scan(block, [&out, &codes, lengths](std::uint8_t s) {
+                out.put(codes[s], lengths[s]);
+            });
+            out.put(codes[frost_detail::kEob], lengths[frost_detail::kEob]);
+            out.align();
+        } else {
+            throw core::InvalidArgument("frost_emit: malformed block plan");
+        }
+        if (out.bytes_written() != payload_end) {
+            throw core::InvalidArgument("frost_emit: the plan is for other data");
+        }
+    }
+    return out.finish();
+}
+
+std::vector<std::uint8_t> frost_compress(std::span<const std::uint8_t> data,
+                                         CompressorConfig config) {
+    return frost_emit(data, frost_plan(data, config));
 }
 
 std::vector<BlockInfo> frost_block_directory(std::span<const std::uint8_t> container) {

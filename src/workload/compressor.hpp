@@ -17,6 +17,13 @@
 //     u32 crc32       CRC-32 of the ORIGINAL block bytes
 //     u8  method      0 = stored, 1 = RLE+Huffman
 //     comp_size bytes of payload
+//
+// Compression runs in two stages.  frost_plan scans each block once (RLE
+// into symbol counts, then Huffman code lengths) and so knows every block's
+// method and payload size, and the container's size, without writing a
+// byte.  frost_emit writes the container from the data and its plan, reusing
+// the plan's code lengths: bits, CRCs and headers.  frost_compress is plan
+// then emit.  Neither stage keeps the RLE stream in memory.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +46,35 @@ struct BlockInfo {
     bool operator==(const BlockInfo&) const = default;
 };
 
-/// Compress `data` into a frost container.
+/// How one block will be stored, decided by frost_plan.
+struct FrostBlockPlan {
+    std::uint32_t orig_size = 0;
+    std::uint32_t comp_size = 0;  ///< payload bytes
+    std::uint8_t method = 0;      ///< 0 = stored, 1 = RLE+Huffman
+    /// Method 1 only: the 257 code lengths the payload starts with.
+    std::vector<std::uint8_t> lengths;
+};
+
+/// Everything frost_emit needs beyond the data: the container's exact
+/// layout, block by block.
+struct FrostPlan {
+    CompressorConfig config;
+    std::size_t data_size = 0;
+    std::size_t container_bytes = 0;  ///< the emitted container's size
+    std::vector<FrostBlockPlan> blocks;
+};
+
+/// Plan the container for `data`: per-block method and payload size.
+[[nodiscard]] FrostPlan frost_plan(std::span<const std::uint8_t> data,
+                                   CompressorConfig config = {});
+
+/// Write the container `plan` describes.  `data` must be the bytes the plan
+/// was made from; throws InvalidArgument when its size or a block's coded
+/// size disagrees with the plan.
+[[nodiscard]] std::vector<std::uint8_t> frost_emit(std::span<const std::uint8_t> data,
+                                                   const FrostPlan& plan);
+
+/// Compress `data` into a frost container: frost_emit(data, frost_plan(data)).
 [[nodiscard]] std::vector<std::uint8_t> frost_compress(std::span<const std::uint8_t> data,
                                                        CompressorConfig config = {});
 
@@ -62,7 +97,8 @@ struct BlockInfo {
 // --- internals, exposed for the unit/property tests ------------------------
 namespace frost_detail {
 
-/// Escape-coded run-length encoding (runs of >= 4 bytes).
+/// Escape-coded run-length encoding (runs of >= 4 bytes).  The encoded
+/// stream is what frost_plan counts and frost_emit codes; this buffers it.
 [[nodiscard]] std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data);
 [[nodiscard]] std::vector<std::uint8_t> rle_decode(std::span<const std::uint8_t> data);
 
@@ -70,9 +106,8 @@ namespace frost_detail {
 class BitWriter {
 public:
     BitWriter() = default;
-    /// Start the output with a copy of `prefix`, with room for
-    /// `expected_bytes` more before the buffer has to grow.
-    BitWriter(std::span<const std::uint8_t> prefix, std::size_t expected_bytes);
+    /// Room for `expected_bytes` before the buffer has to grow.
+    explicit BitWriter(std::size_t expected_bytes) : bytes_(expected_bytes) {}
 
     /// Append the low `count` bits of `bits`, most significant first.
     /// `count` must be in [0, 32].  Inline: the encoder calls it per symbol.
@@ -84,7 +119,7 @@ public:
         acc_bits_ += count;
         if (acc_bits_ >= 32) {
             acc_bits_ -= 32;
-            if (bytes_.size() - size_ < 4) [[unlikely]] grow();
+            if (bytes_.size() - size_ < 4) [[unlikely]] grow(4);
             const auto word = static_cast<std::uint32_t>(acc_ >> acc_bits_);
             std::uint8_t* out = bytes_.data() + size_;
             out[0] = static_cast<std::uint8_t>(word >> 24);
@@ -94,13 +129,24 @@ public:
             size_ += 4;
         }
     }
+    /// Zero-pad the pending bits to a byte boundary.
+    void align() {
+        if (acc_bits_ % 8 != 0) put(0, 8 - acc_bits_ % 8);
+    }
+    /// Append whole bytes; the writer must be byte-aligned (see align()).
+    void put_bytes(std::span<const std::uint8_t> bytes);
+    /// Bytes finish() would hand back now.
+    [[nodiscard]] std::size_t bytes_written() const {
+        return size_ + static_cast<std::size_t>((acc_bits_ + 7) / 8);
+    }
     /// Flush the pending bits, zero-padding the last byte, and hand back
     /// the buffer.
     [[nodiscard]] std::vector<std::uint8_t> finish();
 
 private:
     [[noreturn]] static void throw_bad_count();
-    void grow();
+    /// Make room for at least `more` bytes past size_.
+    void grow(std::size_t more);
 
     std::vector<std::uint8_t> bytes_;  ///< bytes_[0, size_) written, the rest room
     std::size_t size_ = 0;
@@ -134,8 +180,11 @@ private:
 
 /// Huffman code lengths for the given symbol frequencies (0 frequency =>
 /// length 0 / absent).  At least one symbol must have nonzero frequency.
+/// Merges the two lightest subtrees first, ties going to the leaf, then the
+/// lower symbol, then the earlier merge: the tree a heap ordered by (weight,
+/// creation index) builds.
 [[nodiscard]] std::vector<std::uint8_t> huffman_code_lengths(
-    const std::vector<std::uint64_t>& freq);
+    std::span<const std::uint64_t> freq);
 
 /// Canonical codes from lengths (symbols with length 0 get no code).
 [[nodiscard]] std::vector<std::uint32_t> canonical_codes(

@@ -30,43 +30,74 @@ Md5Digest Md5Checkpoints::resume(std::span<const std::uint8_t> data,
 }
 
 LoadJob::LoadJob(LoadJobConfig config, std::uint64_t seed)
-    : config_(config), flip_rng_(seed, "loadjob.flips") {
+    : config_(config), seed_(seed), flip_rng_(seed, "loadjob.flips") {
+    if (config.target_blocks == 0) throw core::InvalidArgument("LoadJob: zero target blocks");
+    if (!LoadJobConfig::valid_page_op_multiplier(config.page_op_multiplier)) {
+        throw core::InvalidArgument("LoadJob: page_op_multiplier out of range");
+    }
+    if (config.corpus.total_bytes == 0 || config.corpus.mean_file_bytes == 0) {
+        throw core::InvalidArgument("LoadJob: corpus sizes must be positive");
+    }
+}
+
+void LoadJob::plan() const {
     // The corpus is a temporary: it is freed before the compressor runs.
-    archive_ = write_archive(SyntheticCorpus(config.corpus, seed).files());
+    std::vector<std::uint8_t> archive =
+        write_archive(SyntheticCorpus(config_.corpus, seed_).files());
 
     // Pick a block size that yields ~target_blocks blocks, as the paper's
     // corpus did under bzip2's 900k blocks (396 blocks there).
-    if (config.target_blocks == 0) throw core::InvalidArgument("LoadJob: zero target blocks");
-    comp_config_.block_size = std::max<std::size_t>(1024, archive_.size() / config.target_blocks);
-    reference_container_ = frost_compress(archive_, comp_config_);
-    reference_md5_ = Md5Checkpoints(reference_container_);
-    reference_directory_ = frost_block_directory(reference_container_);
-
+    Planned planned;
+    planned.compressor.block_size =
+        std::max<std::size_t>(1024, archive.size() / config_.target_blocks);
+    FrostPlan frost = frost_plan(archive, planned.compressor);
+    planned.archive_bytes = archive.size();
+    planned.container_bytes = frost.container_bytes;
+    planned.block_count = frost.blocks.size();
     const std::uint64_t real_page_ops =
-        static_cast<std::uint64_t>((archive_.size() + reference_container_.size()) / 4096);
-    page_ops_per_run_ = static_cast<std::uint64_t>(static_cast<double>(real_page_ops) *
-                                                   config.page_op_multiplier);
+        static_cast<std::uint64_t>((planned.archive_bytes + planned.container_bytes) / 4096);
+    planned.page_ops_per_run = static_cast<std::uint64_t>(static_cast<double>(real_page_ops) *
+                                                          config_.page_op_multiplier);
+
+    planned_ = planned;
+    archive_ = std::move(archive);
+    frost_plan_ = std::move(frost);
+    stage_ = Stage::kPlanned;
+}
+
+void LoadJob::emit() const {
+    if (stage_ == Stage::kConfigured) plan();
+    Emitted emitted;
+    emitted.container = frost_emit(archive_, frost_plan_);
+    emitted.md5 = Md5Checkpoints(emitted.container);
+    emitted.directory = frost_block_directory(emitted.container);
+
+    emitted_ = std::move(emitted);
+    frost_plan_ = FrostPlan{};
+    // Cached runs never compress again, so only the archive's size stays.
+    if (config_.cache_clean_runs) std::vector<std::uint8_t>().swap(archive_);
+    stage_ = Stage::kEmitted;
 }
 
 JobResult LoadJob::run(faults::MemoryFaultModel& memory, bool ecc) {
     JobResult result;
-    result.page_ops = page_ops_per_run_;
+    result.page_ops = page_ops_per_run();
 
-    const faults::MemoryFaultOutcome outcome = memory.run(page_ops_per_run_, ecc);
+    const faults::MemoryFaultOutcome outcome = memory.run(result.page_ops, ecc);
     result.raw_flips = outcome.raw_flips;
     result.corrected_flips = outcome.corrected;
 
     if (outcome.corrupting_flips == 0) {
         // Clean run: the pipeline is deterministic, so the output is
-        // bit-identical to the reference container.
-        if (config_.cache_clean_runs) {
-            result.digest = reference_digest();
-        } else {
-            const std::vector<std::uint8_t> container = frost_compress(archive_, comp_config_);
+        // bit-identical to the reference container, which a cached run
+        // need not even build.
+        if (!config_.cache_clean_runs) {
+            const std::vector<std::uint8_t> container =
+                frost_compress(archive_, planned_.compressor);
             result.digest = md5(container);
             result.md5_bytes = container.size();
+            result.hash_ok = result.digest == reference_digest();
         }
-        result.hash_ok = result.digest == reference_digest();
         return result;
     }
 
@@ -77,8 +108,10 @@ JobResult LoadJob::run(faults::MemoryFaultModel& memory, bool ecc) {
     // reference container rather than a fresh compression pass, its hash
     // resumes from the reference's checkpoint below the first flipped byte,
     // and forensics decodes only the blocks that differ from the reference.
-    std::vector<std::uint8_t> container =
-        config_.cache_clean_runs ? reference_container_ : frost_compress(archive_, comp_config_);
+    const Emitted& reference = emitted_state();
+    std::vector<std::uint8_t> container = config_.cache_clean_runs
+                                              ? reference.container
+                                              : frost_compress(archive_, planned_.compressor);
     std::size_t first_flipped = container.size();
     for (std::uint64_t i = 0; i < outcome.corrupting_flips; ++i) {
         // Flip within payload area (skip the 12-byte stream header so the
@@ -91,19 +124,19 @@ JobResult LoadJob::run(faults::MemoryFaultModel& memory, bool ecc) {
     }
 
     if (config_.cache_clean_runs) {
-        result.digest = reference_md5_.resume(container, first_flipped);
-        result.md5_bytes = container.size() - reference_md5_.resume_offset(first_flipped);
+        result.digest = reference.md5.resume(container, first_flipped);
+        result.md5_bytes = container.size() - reference.md5.resume_offset(first_flipped);
     } else {
         result.digest = md5(container);
         result.md5_bytes = container.size();
     }
-    result.hash_ok = result.digest == reference_digest();
+    result.hash_ok = result.digest == reference.md5.digest();
     if (!result.hash_ok) {
         // "If the results differ, the packed tarball is stored" — and later
         // inspected with the recovery utility.
-        const RecoveryReference reference{reference_container_, reference_directory_};
+        const RecoveryReference recovery{reference.container, reference.directory};
         result.forensics =
-            frost_recover(container, nullptr, config_.cache_clean_runs ? &reference : nullptr);
+            frost_recover(container, nullptr, config_.cache_clean_runs ? &recovery : nullptr);
         result.blocks_decoded = result.forensics->blocks_decoded;
     }
     return result;

@@ -47,7 +47,8 @@ public:
 
     /// One shared job definition (the corpus is the same on every host);
     /// per-host RNG streams keep the fuzz and faults independent.  The
-    /// scheduler takes ownership of the job.
+    /// scheduler takes ownership of the job, which builds itself lazily on
+    /// the first cycle that runs it, so a scheduler with no hosts builds none.
     LoadScheduler(core::Simulator& sim, LoadJob job, faults::MemoryFaultParams mem_params,
                   std::uint64_t master_seed,
                   core::Duration cycle = core::Duration::minutes(10));

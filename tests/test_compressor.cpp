@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <queue>
 #include <string_view>
 
 #include "core/error.hpp"
@@ -147,6 +149,20 @@ TEST(Bitstream, MatchesABitByBitReference) {
     }
 }
 
+TEST(Bitstream, AlignAndPutBytes) {
+    BitWriter w(4);
+    w.put(0b101, 3);
+    EXPECT_EQ(w.bytes_written(), 1u);
+    EXPECT_THROW(w.put_bytes(bytes_of({0xAB})), core::InvalidArgument);
+    w.align();
+    w.put_bytes(bytes_of({0xAB, 0xCD}));
+    w.put(0xF, 4);
+    w.align();
+    w.align();  // already aligned: no-op
+    EXPECT_EQ(w.bytes_written(), 4u);
+    EXPECT_EQ(w.finish(), bytes_of({0xA0, 0xAB, 0xCD, 0xF0}));
+}
+
 TEST(Bitstream, BadPutCountThrows) {
     BitWriter w;
     EXPECT_THROW(w.put(0, -1), core::InvalidArgument);
@@ -185,6 +201,107 @@ TEST(Huffman, SingleSymbolGetsLengthOne) {
 TEST(Huffman, EmptyThrows) {
     EXPECT_THROW((void)huffman_code_lengths(std::vector<std::uint64_t>(257, 0)),
                  core::InvalidArgument);
+}
+
+// The heap-ordered builder the two-queue merge replaced, kept as the
+// reference its lengths must match exactly.
+std::vector<std::uint8_t> heap_code_lengths(const std::vector<std::uint64_t>& freq) {
+    struct Node {
+        std::uint64_t weight;
+        int index;
+        int left = -1;
+        int right = -1;
+        int symbol = -1;
+    };
+    std::vector<Node> nodes;
+    auto cmp = [&nodes](int a, int b) {
+        if (nodes[a].weight != nodes[b].weight) return nodes[a].weight > nodes[b].weight;
+        return nodes[a].index > nodes[b].index;
+    };
+    std::priority_queue<int, std::vector<int>, decltype(cmp)> heap(cmp);
+    for (std::size_t s = 0; s < freq.size(); ++s) {
+        if (freq[s] == 0) continue;
+        nodes.push_back({freq[s], static_cast<int>(nodes.size()), -1, -1, static_cast<int>(s)});
+        heap.push(static_cast<int>(nodes.size()) - 1);
+    }
+    std::vector<std::uint8_t> lengths(freq.size(), 0);
+    if (nodes.size() == 1) {
+        lengths[static_cast<std::size_t>(nodes[0].symbol)] = 1;
+        return lengths;
+    }
+    while (heap.size() > 1) {
+        const int a = heap.top();
+        heap.pop();
+        const int b = heap.top();
+        heap.pop();
+        nodes.push_back({nodes[a].weight + nodes[b].weight, static_cast<int>(nodes.size()), a, b,
+                         -1});
+        heap.push(static_cast<int>(nodes.size()) - 1);
+    }
+    std::vector<std::pair<int, int>> stack{{heap.top(), 0}};
+    while (!stack.empty()) {
+        const auto [n, depth] = stack.back();
+        stack.pop_back();
+        if (nodes[n].symbol >= 0) {
+            lengths[static_cast<std::size_t>(nodes[n].symbol)] = static_cast<std::uint8_t>(depth);
+        } else {
+            stack.emplace_back(nodes[n].left, depth + 1);
+            stack.emplace_back(nodes[n].right, depth + 1);
+        }
+    }
+    return lengths;
+}
+
+/// Frequency vector `trial` of five shapes: heavy ties, all-equal weights,
+/// one symbol, two symbols, Fibonacci-skewed weights (with repeats).
+std::vector<std::uint64_t> tie_heavy_frequencies(int trial, core::RngStream& rng) {
+    std::vector<std::uint64_t> freq(257, 0);
+    const auto pick = [&rng] { return static_cast<std::size_t>(rng.uniform_int(0, 256)); };
+    switch (trial % 5) {
+        case 0: {
+            const auto symbols = rng.uniform_int(2, 257);
+            for (std::int64_t i = 0; i < symbols; ++i) {
+                freq[pick()] = static_cast<std::uint64_t>(rng.uniform_int(1, 4));
+            }
+            break;
+        }
+        case 1: {
+            const auto weight = static_cast<std::uint64_t>(rng.uniform_int(1, 1000));
+            const auto symbols = rng.uniform_int(2, 257);
+            for (std::int64_t i = 0; i < symbols; ++i) freq[pick()] = weight;
+            break;
+        }
+        case 2:
+            freq[pick()] = static_cast<std::uint64_t>(rng.uniform_int(1, 1 << 20));
+            break;
+        case 3:
+            freq[pick()] = static_cast<std::uint64_t>(rng.uniform_int(1, 5));
+            freq[pick()] = static_cast<std::uint64_t>(rng.uniform_int(1, 5));
+            break;
+        default: {
+            std::uint64_t a = 1, b = 1;
+            const auto symbols = rng.uniform_int(2, 40);
+            for (std::int64_t i = 0; i < symbols; ++i) {
+                freq[pick()] = a;
+                if (rng.uniform_int(0, 3) != 0) {  // sometimes repeat a weight
+                    const std::uint64_t next = a + b;
+                    a = b;
+                    b = next;
+                }
+            }
+            break;
+        }
+    }
+    if (std::count(freq.begin(), freq.end(), 0u) == 257) freq[0] = 1;
+    return freq;
+}
+
+TEST(Huffman, TwoQueueMergeMatchesTheHeapBuilder) {
+    core::RngStream rng(17, "huffman-ties");
+    for (int trial = 0; trial < 500; ++trial) {
+        const std::vector<std::uint64_t> freq = tie_heavy_frequencies(trial, rng);
+        ASSERT_EQ(huffman_code_lengths(freq), heap_code_lengths(freq)) << "trial " << trial;
+    }
 }
 
 TEST(Huffman, CanonicalCodesArePrefixFree) {
@@ -301,6 +418,104 @@ TEST_P(FrostBlockSizes, RoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Sizes, FrostBlockSizes,
                          ::testing::Values(1024, 3000, 4096, 10000, 16384, 65536, 1 << 20));
 
+// --- plan / emit ---------------------------------------------------------------
+
+/// The plan's per-block method and payload size, and its container size,
+/// are those of the container emitted from it, which is frost_compress's.
+void expect_plan_describes_container(const std::vector<std::uint8_t>& data,
+                                     CompressorConfig cfg) {
+    const FrostPlan plan = frost_plan(data, cfg);
+    const std::vector<std::uint8_t> container = frost_emit(data, plan);
+    EXPECT_EQ(container, frost_compress(data, cfg));
+    EXPECT_EQ(plan.container_bytes, container.size());
+    EXPECT_EQ(plan.data_size, data.size());
+    const std::vector<BlockInfo> dir = frost_block_directory(container);
+    ASSERT_EQ(plan.blocks.size(), dir.size());
+    std::size_t offset = 12;
+    for (std::size_t b = 0; b < dir.size(); ++b) {
+        SCOPED_TRACE(b);
+        EXPECT_EQ(dir[b].offset, offset);
+        EXPECT_EQ(dir[b].orig_size, plan.blocks[b].orig_size);
+        EXPECT_EQ(dir[b].comp_size, plan.blocks[b].comp_size);
+        EXPECT_EQ(dir[b].method, plan.blocks[b].method);
+        EXPECT_EQ(plan.blocks[b].lengths.size(), dir[b].method == 1 ? 257u : 0u);
+        offset += 17 + dir[b].comp_size;
+    }
+}
+
+std::vector<std::uint8_t> runs_1_to_300() {
+    // Runs of every length 1..300 (past the 258-byte cap); every third run
+    // is of the escape byte.
+    std::vector<std::uint8_t> runs;
+    for (std::size_t n = 1; n <= 300; ++n) {
+        const std::uint8_t value = n % 3 == 0 ? 0xf7 : static_cast<std::uint8_t>(n);
+        runs.insert(runs.end(), n, value);
+    }
+    return runs;
+}
+
+std::vector<std::uint8_t> noise_bytes(std::size_t n) {
+    core::RngStream rng(1, "noise");
+    std::vector<std::uint8_t> noise(n);
+    for (auto& b : noise) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    return noise;
+}
+
+TEST(FrostPlan, DescribesTheEmittedContainerOnPinnedCases) {
+    CompressorConfig small;
+    small.block_size = 1024;
+    CompressorConfig large;
+    large.block_size = 16 * 1024;
+    const auto text = sample_data(40 * 1024 + 123);
+    expect_plan_describes_container({}, {});
+    expect_plan_describes_container(bytes_of({0x41}), {});
+    expect_plan_describes_container(std::vector<std::uint8_t>(5000, 0xf7), {});
+    expect_plan_describes_container(runs_1_to_300(), {});
+    expect_plan_describes_container(noise_bytes(8192), small);
+    expect_plan_describes_container(text, small);
+    expect_plan_describes_container(text, large);
+}
+
+TEST(FrostPlan, DescribesTheEmittedContainerOnSeededInputs) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        SCOPED_TRACE(seed);
+        core::RngStream rng(seed, "plan-inputs");
+        std::vector<std::uint8_t> data;
+        const auto pieces = rng.uniform_int(0, 60);
+        for (std::int64_t p = 0; p < pieces; ++p) {
+            const auto value = static_cast<std::uint8_t>(
+                rng.uniform_int(0, 3) == 0 ? 0xf7 : rng.uniform_int(0, 255));
+            const auto length = static_cast<std::size_t>(rng.uniform_int(1, 700));
+            if (rng.uniform_int(0, 2) == 0) {
+                for (std::size_t i = 0; i < length; ++i) {
+                    data.push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+                }
+            } else {
+                data.insert(data.end(), length, value);
+            }
+        }
+        CompressorConfig cfg;
+        cfg.block_size = static_cast<std::size_t>(rng.uniform_int(1, 20000));
+        expect_plan_describes_container(data, cfg);
+    }
+}
+
+TEST(FrostPlan, EmitRefusesAPlanForOtherData) {
+    CompressorConfig cfg;
+    cfg.block_size = 4096;
+    const auto text = sample_data(16 * 1024);
+    const FrostPlan plan = frost_plan(text, cfg);
+    EXPECT_THROW((void)frost_emit(noise_bytes(text.size() + 1), plan), core::InvalidArgument);
+    EXPECT_THROW((void)frost_emit(noise_bytes(text.size()), plan), core::InvalidArgument);
+    FrostPlan bad_method = plan;
+    bad_method.blocks[1].method = 2;
+    EXPECT_THROW((void)frost_emit(text, bad_method), core::InvalidArgument);
+    FrostPlan short_table = plan;
+    ASSERT_EQ(short_table.blocks[1].method, 1);
+    short_table.blocks[1].lengths.resize(256);
+    EXPECT_THROW((void)frost_emit(text, short_table), core::InvalidArgument);
+}
+
 // --- pinned container bytes ---------------------------------------------------
 
 std::uint64_t fnv_of(const std::vector<std::uint8_t>& bytes) {
@@ -309,16 +524,8 @@ std::uint64_t fnv_of(const std::vector<std::uint8_t>& bytes) {
 }
 
 TEST(FrostPins, ContainerBytesArePinned) {
-    // Runs of every length 1..300 (past the 258-byte cap); every third run
-    // is of the escape byte.
-    std::vector<std::uint8_t> runs;
-    for (std::size_t n = 1; n <= 300; ++n) {
-        const std::uint8_t value = n % 3 == 0 ? 0xf7 : static_cast<std::uint8_t>(n);
-        runs.insert(runs.end(), n, value);
-    }
-    core::RngStream rng(1, "noise");
-    std::vector<std::uint8_t> noise(8192);
-    for (auto& b : noise) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const auto runs = runs_1_to_300();
+    const auto noise = noise_bytes(8192);
     const auto text = sample_data(40 * 1024 + 123);
     CompressorConfig small;
     small.block_size = 1024;

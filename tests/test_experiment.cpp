@@ -97,6 +97,19 @@ TEST(Runner, LoadRunsAccumulateOnlyOnInstalledHosts) {
     // Host 1 installed Feb 19, host 15 installed Mar 10 (after cfg.end).
     EXPECT_GT(run.load().stats(1).runs, 1000u);
     EXPECT_EQ(run.load().stats(15).runs, 0u);
+    EXPECT_TRUE(run.load().job().planned());
+}
+
+TEST(Runner, TrafficSeasonNeverBuildsTheLoadJob) {
+    // The scheduler exists in every season, but a traffic season registers
+    // no hosts with it, so its job never plans: no corpus, no archive.
+    ExperimentConfig cfg;
+    cfg.workload = WorkloadKind::kTraffic;
+    ExperimentRunner run(cfg);
+    run.run();
+    EXPECT_EQ(run.load().total_runs(), 0u);
+    EXPECT_FALSE(run.load().job().planned());
+    EXPECT_FALSE(run.load().job().emitted());
 }
 
 TEST(Runner, DeterministicAcrossRuns) {

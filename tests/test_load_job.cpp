@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <string_view>
 
@@ -48,10 +49,14 @@ TEST(LoadJob, CleanRunMatchesReference) {
     LoadJob job(small_config(), 2010);
     auto mem = quiet_memory();
     const JobResult r = job.run(mem, false);
+    // A cached clean run matches by determinism: it hashes nothing.
     EXPECT_TRUE(r.hash_ok);
-    EXPECT_EQ(r.digest, job.reference_digest());
+    EXPECT_FALSE(r.digest.has_value());
+    EXPECT_EQ(r.md5_bytes, 0u);
     EXPECT_FALSE(r.forensics.has_value());
     EXPECT_EQ(r.page_ops, job.page_ops_per_run());
+    // What it would have hashed, once the container is forced out.
+    EXPECT_EQ(md5(job.reference_container()), job.reference_digest());
 }
 
 TEST(LoadJob, UncachedCleanRunAlsoMatches) {
@@ -63,7 +68,8 @@ TEST(LoadJob, UncachedCleanRunAlsoMatches) {
     auto mem = quiet_memory();
     const JobResult r = job.run(mem, false);
     EXPECT_TRUE(r.hash_ok);
-    EXPECT_EQ(r.digest, job.reference_digest());
+    ASSERT_TRUE(r.digest.has_value());
+    EXPECT_EQ(*r.digest, job.reference_digest());
 }
 
 TEST(LoadJob, CorruptingFlipIsDetectedAndAnalyzed) {
@@ -76,7 +82,8 @@ TEST(LoadJob, CorruptingFlipIsDetectedAndAnalyzed) {
         if (!r.hash_ok) break;
     }
     ASSERT_FALSE(r.hash_ok);
-    EXPECT_NE(r.digest, job.reference_digest());
+    ASSERT_TRUE(r.digest.has_value());
+    EXPECT_NE(*r.digest, job.reference_digest());
     ASSERT_TRUE(r.forensics.has_value());
     // A flip in a payload leaves the directory whole; a flip in a block
     // header damages the directory walk and costs the rescan a block or two.
@@ -120,6 +127,80 @@ TEST(LoadJob, ZeroTargetBlocksThrows) {
     LoadJobConfig cfg = small_config();
     cfg.target_blocks = 0;
     EXPECT_THROW(LoadJob(cfg, 1), core::InvalidArgument);
+}
+
+TEST(LoadJob, BadPageOpMultiplierThrowsAtConstruction) {
+    // Each would reach a double -> uint64 conversion out of range: undefined
+    // behaviour.  Construction plans nothing, so the check cannot wait.
+    for (const double m : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e30}) {
+        LoadJobConfig cfg = small_config();
+        cfg.page_op_multiplier = m;
+        EXPECT_THROW(LoadJob(cfg, 1), core::InvalidArgument) << m;
+    }
+    for (const double m : {0.0, LoadJobConfig::kMaxPageOpMultiplier}) {
+        LoadJobConfig cfg = small_config();
+        cfg.page_op_multiplier = m;
+        EXPECT_NO_THROW((void)LoadJob(cfg, 1).page_ops_per_run()) << m;
+    }
+}
+
+// --- lazy build stages -----------------------------------------------------
+
+TEST(LoadJob, ConstructionBuildsNothing) {
+    const LoadJob job(small_config(), 2010);
+    EXPECT_FALSE(job.planned());
+    EXPECT_FALSE(job.emitted());
+    (void)job.container_bytes();
+    EXPECT_TRUE(job.planned());
+    EXPECT_FALSE(job.emitted());
+    (void)job.reference_digest();
+    EXPECT_TRUE(job.emitted());
+}
+
+TEST(LoadJob, PlannedSizesAreTheEmittedContainers) {
+    for (const bool cached : {true, false}) {
+        LoadJobConfig cfg = small_config();
+        cfg.cache_clean_runs = cached;
+        const LoadJob job(cfg, 2010);
+        const std::size_t container_bytes = job.container_bytes();
+        const std::size_t block_count = job.block_count();
+        const std::size_t archive_bytes = job.archive_bytes();
+        EXPECT_EQ(job.reference_container().size(), container_bytes);
+        EXPECT_EQ(frost_block_directory(job.reference_container()).size(), block_count);
+        EXPECT_EQ(job.block_count(), block_count);
+        EXPECT_EQ(job.archive_bytes(), archive_bytes);
+        EXPECT_EQ(archive_bytes,
+                  write_archive(SyntheticCorpus(cfg.corpus, 2010).files()).size());
+    }
+}
+
+TEST(LoadJob, CleanRunsPlanButNeverEmit) {
+    LoadJob job(small_config(), 2010);
+    auto mem = quiet_memory();
+    for (int i = 0; i < 50; ++i) {
+        const JobResult r = job.run(mem, false);
+        ASSERT_TRUE(r.hash_ok);
+        ASSERT_EQ(r.raw_flips, 0u);
+    }
+    EXPECT_TRUE(job.planned());
+    EXPECT_FALSE(job.emitted());
+}
+
+TEST(LoadJob, FirstCorruptingRunEmitsOnce) {
+    LoadJob job(small_config(), 2010);
+    const std::size_t archive_bytes = job.archive_bytes();
+    auto mem = noisy_memory();
+    const JobResult first = job.run(mem, false);
+    ASSERT_GT(first.raw_flips, 0u);
+    EXPECT_TRUE(job.emitted());
+    // The emitted container stays put: later runs copy it rather than emit
+    // again (the freed archive could not be emitted from a second time).
+    const std::uint8_t* container = job.reference_container().data();
+    for (int i = 0; i < 10; ++i) (void)job.run(mem, false);
+    EXPECT_EQ(job.reference_container().data(), container);
+    EXPECT_EQ(job.archive_bytes(), archive_bytes);
+    EXPECT_EQ(job.reference_container(), LoadJob(small_config(), 2010).reference_container());
 }
 
 TEST(LoadJob, ArchiveLargerThanCorpusButContainerSmaller) {
@@ -203,9 +284,16 @@ TEST(Md5Checkpoints, RealContainer) {
 
 // --- cache_clean_runs on and off agree --------------------------------------
 
-void expect_same_result(const JobResult& cached, const JobResult& full) {
+void expect_same_result(const JobResult& cached, const JobResult& full,
+                        const Md5Digest& reference) {
     EXPECT_EQ(cached.hash_ok, full.hash_ok);
-    EXPECT_EQ(cached.digest, full.digest);
+    // The full pipeline always hashes; a cached clean run skips the hash
+    // that would have given the reference digest.
+    ASSERT_TRUE(full.digest.has_value());
+    EXPECT_EQ(cached.digest.value_or(reference), *full.digest);
+    if (!cached.digest) {
+        EXPECT_TRUE(cached.hash_ok);
+    }
     EXPECT_EQ(cached.raw_flips, full.raw_flips);
     EXPECT_EQ(cached.corrected_flips, full.corrected_flips);
     ASSERT_EQ(cached.forensics.has_value(), full.forensics.has_value());
@@ -235,7 +323,7 @@ TEST(LoadJob, CachedRunsMatchTheFullPipelineForTheSameFlipStream) {
             SCOPED_TRACE(testing::Message() << "p " << p << " run " << i);
             const JobResult a = cached.run(mem_a, false);
             const JobResult b = full.run(mem_b, false);
-            expect_same_result(a, b);
+            expect_same_result(a, b, full.reference_digest());
             // Work: the full pipeline hashes everything and decodes every
             // block it finds; the cached one never does more.
             EXPECT_EQ(b.md5_bytes, full.container_bytes());

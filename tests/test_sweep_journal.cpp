@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -338,6 +339,13 @@ TEST(ConfigValidate, NamesTheOffendingKnob) {
     cfg = cheap_config(0, kBaseSeed);
     cfg.load.target_blocks = 0;
     EXPECT_NE(message_of(cfg).find("target_blocks"), std::string::npos);
+
+    for (const double m : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e30}) {
+        cfg = cheap_config(0, kBaseSeed);
+        cfg.load.page_op_multiplier = m;
+        EXPECT_NE(message_of(cfg).find("page_op_multiplier"), std::string::npos) << m;
+    }
 }
 
 TEST(ParallelCensusJournal, RefusesJournalOpenedWithWrongKey) {
