@@ -1,4 +1,4 @@
-// Tick-engine performance benchmark: the number the perf gate watches.
+// Season performance benchmark: the number the perf gate watches.
 //
 // Two measurements, both timed with core::bench_clock (the lint-sanctioned
 // seam — no google-benchmark, no per-line suppressions):
@@ -12,8 +12,8 @@
 //      JSQ dispatch and SLO accounting dominate instead of the archive
 //      scheduler.  Reported as requests/sec (completed requests across all
 //      seeds / best wall).
-//   3. Hazard kernel microbench: the batched HostHazardModel evaluation
-//      over a 4096-slot SoA, reported as hazard-evals/sec.
+//   3. Hazard kernel microbench: HostHazardModel::hazard_per_hour over
+//      4096 deterministic stress slots, reported as hazard-evals/sec.
 //   4. Frost codec microbench: compressing a deterministic 1 MiB corpus
 //      through the bzip2 stand-in (the load-generation hot loop), reported
 //      as MB/s of input compressed, with a roundtrip sanity check.
@@ -22,8 +22,8 @@
 // BENCH_tick.json) as zerodeg-bench-tick/1 JSON for scripts/compare_bench.py,
 // which gates scripts/check.sh against the checked-in BENCH_baseline.json.
 //
-// The census output itself is byte-identical across engines and jobs values
-// (pinned by tests/test_hazard_table.cpp); this binary only measures speed,
+// The census output itself is byte-identical across jobs values (pinned by
+// tests/test_parallel_determinism.cpp); this binary only measures speed,
 // but it still prints the summary fingerprint fields so a perf run that
 // silently changed *results* is visible in the JSON diff.
 #include <cstdint>
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "core/bench_clock.hpp"
-#include "experiment/config.hpp"
 #include "experiment/parallel_census.hpp"
 #include "faults/hazard.hpp"
 #include "workload/compressor.hpp"
@@ -48,14 +47,12 @@ struct Options {
     std::size_t seeds = 4;
     int repeat = 3;
     std::size_t jobs = 1;
-    zerodeg::experiment::TickEngine engine = zerodeg::experiment::TickEngine::kBatched;
     std::string out = "BENCH_tick.json";
 };
 
 [[noreturn]] void usage_error(const std::string& message) {
     std::cerr << "error: " << message << "\n"
-              << "usage: bench_perf_tick [--seeds N] [--repeat N] [--jobs N]\n"
-              << "                       [--engine batched|per-object] [--out FILE]\n";
+              << "usage: bench_perf_tick [--seeds N] [--repeat N] [--jobs N] [--out FILE]\n";
     std::exit(2);
 }
 
@@ -75,15 +72,6 @@ Options parse(int argc, char** argv) {
             if (opt.repeat < 1) usage_error("--repeat must be >= 1");
         } else if (arg == "--jobs") {
             opt.jobs = static_cast<std::size_t>(std::strtoull(value("--jobs").c_str(), nullptr, 10));
-        } else if (arg == "--engine") {
-            const std::string v = value("--engine");
-            if (v == "batched") {
-                opt.engine = zerodeg::experiment::TickEngine::kBatched;
-            } else if (v == "per-object") {
-                opt.engine = zerodeg::experiment::TickEngine::kPerObject;
-            } else {
-                usage_error("--engine must be 'batched' or 'per-object'");
-            }
         } else if (arg == "--out") {
             opt.out = value("--out");
         } else {
@@ -103,34 +91,34 @@ std::string num(double v) {
     return os.str();
 }
 
-/// Batched hazard-kernel microbench: 4096 deterministic SoA slots spanning
-/// the tent's operating envelope, evaluated until the repeat budget is
-/// spent.  Returns evals/sec from the best repeat.
+/// Hazard-kernel microbench: 4096 deterministic stress slots spanning the
+/// tent's operating envelope, evaluated until the repeat budget is spent.
+/// Returns evals/sec from the best repeat.
 double hazard_kernel_evals_per_sec(int repeat) {
+    using zerodeg::core::Celsius;
+    using zerodeg::core::RelHumidity;
     constexpr std::size_t kSlots = 4096;
     constexpr int kItersPerRepeat = 500;
-    std::vector<double> intake(kSlots), humidity(kSlots), age(kSlots), cycling(kSlots);
-    std::vector<std::uint8_t> unreliable(kSlots);
+    std::vector<zerodeg::faults::StressState> slots(kSlots);
     for (std::size_t i = 0; i < kSlots; ++i) {
         // Deterministic coverage of the envelope: -25..+35 C, 30..95 %RH,
         // 0..40k hours, 0..6 K/h, every 7th host flaky.
-        intake[i] = -25.0 + 60.0 * static_cast<double>(i) / kSlots;
-        humidity[i] = 30.0 + 65.0 * static_cast<double>((i * 37) % kSlots) / kSlots;
-        age[i] = 40000.0 * static_cast<double>((i * 101) % kSlots) / kSlots;
-        cycling[i] = 6.0 * static_cast<double>((i * 13) % kSlots) / kSlots;
-        unreliable[i] = (i % 7) == 0 ? 1 : 0;
+        zerodeg::faults::StressState& s = slots[i];
+        s.intake = Celsius{-25.0 + 60.0 * static_cast<double>(i) / kSlots};
+        s.humidity = RelHumidity{30.0 + 65.0 * static_cast<double>((i * 37) % kSlots) / kSlots};
+        s.age_hours = 40000.0 * static_cast<double>((i * 101) % kSlots) / kSlots;
+        s.cycling_rate_k_per_h = 6.0 * static_cast<double>((i * 13) % kSlots) / kSlots;
+        s.known_unreliable = (i % 7) == 0;
     }
     const zerodeg::faults::HostHazardModel model;
-    const zerodeg::faults::StressSoa soa{intake.data(), humidity.data(), age.data(),
-                                         cycling.data(), unreliable.data()};
-    std::vector<double> out(kSlots);
     double sink = 0.0;
     double best = 0.0;
     for (int r = 0; r < repeat; ++r) {
         const auto t0 = bench_clock::now();
         for (int it = 0; it < kItersPerRepeat; ++it) {
-            model.hazard_per_hour(soa, kSlots, out.data());
-            sink += out[it % kSlots];  // keep the evaluation observable
+            for (const zerodeg::faults::StressState& s : slots) {
+                sink += model.hazard_per_hour(s);  // keep the evaluation observable
+            }
         }
         const double secs = bench_clock::seconds_between(t0, bench_clock::now());
         const double rate = static_cast<double>(kSlots) * kItersPerRepeat / secs;
@@ -187,20 +175,13 @@ int main(int argc, char** argv) {
 
     experiment::CensusPlan plan;
     plan.seeds = opt.seeds;
-    plan.make_config = [&](std::size_t, std::uint64_t seed) {
-        experiment::ExperimentConfig config;
-        config.master_seed = seed;
-        config.engine = opt.engine;
-        return config;
-    };
 
     const experiment::ExperimentConfig defaults;
     const std::size_t ticks_per_season = static_cast<std::size_t>(
         (defaults.end - defaults.start).count() / defaults.tick.count());
 
-    std::cout << "bench_perf_tick: engine=" << experiment::to_string(opt.engine)
-              << " seeds=" << opt.seeds << " repeat=" << opt.repeat << " jobs=" << opt.jobs
-              << " (" << ticks_per_season << " ticks/season)\n";
+    std::cout << "bench_perf_tick: seeds=" << opt.seeds << " repeat=" << opt.repeat
+              << " jobs=" << opt.jobs << " (" << ticks_per_season << " ticks/season)\n";
 
     double best_wall = 0.0;
     experiment::CensusResult result;
@@ -223,7 +204,6 @@ int main(int argc, char** argv) {
     traffic_plan.make_config = [&](std::size_t, std::uint64_t seed) {
         experiment::ExperimentConfig config;
         config.master_seed = seed;
-        config.engine = opt.engine;
         config.workload = experiment::WorkloadKind::kTraffic;
         return config;
     };
@@ -267,7 +247,6 @@ int main(int argc, char** argv) {
     json << "{\n"
          << "  \"schema\": \"zerodeg-bench-tick/1\",\n"
          << "  \"config\": {\n"
-         << "    \"engine\": \"" << experiment::to_string(opt.engine) << "\",\n"
          << "    \"seeds\": " << opt.seeds << ",\n"
          << "    \"repeat\": " << opt.repeat << ",\n"
          << "    \"jobs\": " << opt.jobs << ",\n"

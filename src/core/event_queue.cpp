@@ -6,86 +6,77 @@
 
 namespace zerodeg::core {
 
-EventId Simulator::schedule_at(TimePoint when, Callback fn, std::string label) {
+EventId Simulator::schedule_at(TimePoint when, Callback fn) {
     if (when < now_) throw InvalidArgument("Simulator::schedule_at: time is in the past");
     if (!fn) throw InvalidArgument("Simulator::schedule_at: empty callback");
-    Event ev;
-    ev.when = when;
-    ev.seq = next_seq_++;
-    ev.id = next_id_++;
-    ev.fn = std::move(fn);
-    ev.label = std::move(label);
-    const EventId id = ev.id;
-    queue_.push(std::move(ev));
+    const EventId id = next_id_++;
+    push(Event{when, next_seq_++, id, std::move(fn), Duration{0}});
     return id;
 }
 
-EventId Simulator::schedule_every(TimePoint first, Duration period, Callback fn,
-                                  std::string label) {
+EventId Simulator::schedule_every(TimePoint first, Duration period, Callback fn) {
     if (period.count() <= 0) {
         throw InvalidArgument("Simulator::schedule_every: period must be positive");
     }
     if (first < now_) throw InvalidArgument("Simulator::schedule_every: time is in the past");
     if (!fn) throw InvalidArgument("Simulator::schedule_every: empty callback");
-    Event ev;
-    ev.when = first;
-    ev.seq = next_seq_++;
-    ev.id = next_id_++;
-    ev.fn = std::move(fn);
-    ev.period = period;
-    ev.label = std::move(label);
-    const EventId id = ev.id;
-    queue_.push(std::move(ev));
+    const EventId id = next_id_++;
+    push(Event{first, next_seq_++, id, std::move(fn), period});
     return id;
 }
 
 bool Simulator::cancel(EventId id) {
-    if (id == 0 || id >= next_id_) return false;
-    if (is_cancelled(id)) return false;
-    cancelled_.push_back(id);
-    return true;
+    if (std::find(cancelled_.begin(), cancelled_.end(), id) != cancelled_.end()) return false;
+    const bool queued =
+        std::any_of(heap_.begin(), heap_.end(), [id](const Event& ev) { return ev.id == id; });
+    if (queued) cancelled_.push_back(id);
+    return queued;
 }
 
-bool Simulator::is_cancelled(EventId id) const {
-    return std::find(cancelled_.begin(), cancelled_.end(), id) != cancelled_.end();
+void Simulator::push(Event ev) {
+    heap_.push_back(std::move(ev));
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
-void Simulator::forget_cancelled(EventId id) {
-    cancelled_.erase(std::remove(cancelled_.begin(), cancelled_.end(), id), cancelled_.end());
+Simulator::Event Simulator::pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    Event ev = std::move(heap_.back());
+    heap_.pop_back();
+    return ev;
+}
+
+void Simulator::drop_cancelled_head() {
+    while (!cancelled_.empty() && !heap_.empty()) {
+        const auto it = std::find(cancelled_.begin(), cancelled_.end(), heap_.front().id);
+        if (it == cancelled_.end()) return;
+        cancelled_.erase(it);
+        (void)pop();
+    }
 }
 
 bool Simulator::step() {
-    while (!queue_.empty()) {
-        Event ev = queue_.top();
-        queue_.pop();
-        if (is_cancelled(ev.id)) {
-            forget_cancelled(ev.id);
-            continue;
-        }
-        now_ = ev.when;
-        ++executed_;
-        if (ev.period.count() > 0) {
-            Event next = ev;  // copies the shared callback
-            next.when = ev.when + ev.period;
-            next.seq = next_seq_++;
-            queue_.push(std::move(next));
-        }
-        ev.fn();
-        return true;
+    drop_cancelled_head();
+    if (heap_.empty()) return false;
+    Event ev = pop();
+    now_ = ev.when;
+    ++executed_;
+    if (ev.period.count() > 0) {
+        // Re-queued before the callback runs, so the callback can cancel it.
+        push(Event{ev.when + ev.period, next_seq_++, ev.id, ev.fn, ev.period});
     }
-    return false;
+    ev.fn();
+    return true;
 }
 
 void Simulator::run_until(TimePoint until) {
-    while (!queue_.empty() && queue_.top().when <= until) {
-        if (!step()) break;
+    for (;;) {
+        drop_cancelled_head();
+        if (heap_.empty() || heap_.front().when > until) break;
+        (void)step();
     }
     if (until > now_) now_ = until;
 }
 
-std::size_t Simulator::pending_events() const {
-    // Cancelled events still sit in the heap; subtract them.
-    return queue_.size() - cancelled_.size();
-}
+std::size_t Simulator::pending_events() const { return heap_.size() - cancelled_.size(); }
 
 }  // namespace zerodeg::core

@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <string>
 #include <vector>
 
 #include "core/sim_time.hpp"
@@ -30,20 +28,19 @@ public:
     [[nodiscard]] TimePoint now() const { return now_; }
 
     /// Schedule `fn` to run at absolute time `when` (>= now).
-    EventId schedule_at(TimePoint when, Callback fn, std::string label = {});
+    EventId schedule_at(TimePoint when, Callback fn);
 
     /// Schedule `fn` to run `delay` from now.
-    EventId schedule_in(Duration delay, Callback fn, std::string label = {}) {
-        return schedule_at(now_ + delay, std::move(fn), std::move(label));
+    EventId schedule_in(Duration delay, Callback fn) {
+        return schedule_at(now_ + delay, std::move(fn));
     }
 
     /// Schedule `fn` every `period`, first firing at `first`.  The callback
     /// may call cancel() on the returned id to stop the recurrence.
-    EventId schedule_every(TimePoint first, Duration period, Callback fn,
-                           std::string label = {});
+    EventId schedule_every(TimePoint first, Duration period, Callback fn);
 
-    /// Cancel a pending (or recurring) event.  Returns false if it was not
-    /// pending (already fired and non-recurring, or unknown).
+    /// Cancel a queued (or recurring) event.  Returns false if it is not
+    /// queued: already fired and non-recurring, already cancelled, or unknown.
     bool cancel(EventId id);
 
     /// Run all events with time <= `until`; the clock ends at `until`.
@@ -62,7 +59,6 @@ private:
         EventId id = 0;
         Callback fn;
         Duration period{0};  ///< zero => one-shot
-        std::string label;
 
         bool operator>(const Event& rhs) const {
             if (when != rhs.when) return when > rhs.when;
@@ -71,14 +67,16 @@ private:
     };
 
     TimePoint now_;
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+    std::vector<Event> heap_;  ///< min-heap on (when, seq)
     std::uint64_t next_seq_ = 0;
     EventId next_id_ = 1;
     std::uint64_t executed_ = 0;
-    std::vector<EventId> cancelled_;  ///< small; linear scan on pop
+    std::vector<EventId> cancelled_;  ///< queued but cancelled; small, scanned linearly
 
-    [[nodiscard]] bool is_cancelled(EventId id) const;
-    void forget_cancelled(EventId id);
+    void push(Event ev);
+    [[nodiscard]] Event pop();
+    /// Discard cancelled events sitting at the top of the heap.
+    void drop_cancelled_head();
 };
 
 }  // namespace zerodeg::core

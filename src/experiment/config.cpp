@@ -8,14 +8,6 @@
 
 namespace zerodeg::experiment {
 
-const char* to_string(TickEngine engine) {
-    switch (engine) {
-        case TickEngine::kPerObject: return "per-object";
-        case TickEngine::kBatched: return "batched";
-    }
-    throw core::InvalidArgument("to_string(TickEngine): bad enum value");
-}
-
 const char* to_string(WorkloadKind kind) {
     switch (kind) {
         case WorkloadKind::kArchive: return "archive";
@@ -120,9 +112,6 @@ void mix(std::uint64_t& h, bool v) { mix(h, static_cast<std::uint64_t>(v ? 1 : 0
 
 std::uint64_t fingerprint(const ExperimentConfig& config) {
     std::uint64_t h = kFnvOffset;
-    // config.engine is deliberately NOT mixed in: the per-object and batched
-    // tick engines are byte-identical, so a journal written under either
-    // resumes under the other.
     mix(h, config.master_seed);
     mix(h, config.start.seconds_since_epoch());
     mix(h, config.end.seconds_since_epoch());

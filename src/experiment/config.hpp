@@ -26,17 +26,6 @@ struct TentModEvent {
     thermal::TentMod mod;
 };
 
-/// Which host-loop implementation the runner's tick uses.  The two engines
-/// are bit-identical by construction (the batched one routes the same
-/// arithmetic through contiguous arrays); the per-object path is kept as
-/// the reference for differential tests.
-enum class TickEngine : int {
-    kPerObject = 0,  ///< original one-host-at-a-time loop
-    kBatched = 1,    ///< SoA gather/kernel/scatter fast path
-};
-
-[[nodiscard]] const char* to_string(TickEngine engine);
-
 /// Which workload drives the fleet's CPUs and disks for the season.
 enum class WorkloadKind : int {
     kArchive = 0,  ///< batch archival churn (scheduler.hpp): disk + memory
@@ -47,11 +36,6 @@ enum class WorkloadKind : int {
 
 struct ExperimentConfig {
     std::uint64_t master_seed = 20100219;
-
-    /// Tick-engine selection.  Deliberately excluded from fingerprint():
-    /// both engines produce byte-identical results, so journals written by
-    /// one resume cleanly under the other.
-    TickEngine engine = TickEngine::kBatched;
 
     /// Main phase window ("start of testing" Feb 19; Fig. 2's last mark is
     /// the Mar 26 replacement of #15; the census in Section 4 was written

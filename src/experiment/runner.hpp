@@ -109,36 +109,14 @@ private:
     std::map<int, faults::ComponentFaultProcess> component_faults_;
     thermal::EnvelopeTracker tent_envelope_{thermal::ashrae_allowable()};
 
-    /// Reused per-tick scratch for the batched engine: one slot per
-    /// installed host, in fleet order.  Member storage so a season's 5k+
-    /// ticks allocate these arrays once instead of every tick.
-    struct BatchScratch {
-        std::vector<hardware::HostRecord*> recs;
-        std::vector<std::uint8_t> in_tent;
-        std::vector<std::uint8_t> operational;
-        std::vector<std::uint8_t> announce;  ///< power-on log deferred to scatter
-        std::vector<double> intake_c;
-        std::vector<double> humidity;
-        std::vector<double> age_hours;
-        std::vector<double> cycling;
-        std::vector<std::uint8_t> unreliable;
-        std::vector<double> hazard;
-
-        void clear();
-    };
-    BatchScratch batch_;
-
     static constexpr int kMonitorNodeId = 1000;
 
     void wire_hosts();
     void register_host_with_services(hardware::HostRecord& rec);
     void tick();
-    void host_pass_per_object(core::TimePoint now, const weather::WeatherSample& outside,
-                              const thermal::EnclosureAir& tent_air,
-                              const thermal::EnclosureAir& basement_air);
-    void host_pass_batched(core::TimePoint now, const weather::WeatherSample& outside,
-                           const thermal::EnclosureAir& tent_air,
-                           const thermal::EnclosureAir& basement_air);
+    void host_pass(core::TimePoint now, const weather::WeatherSample& outside,
+                   const thermal::EnclosureAir& tent_air,
+                   const thermal::EnclosureAir& basement_air);
     void handle_failure(hardware::HostRecord& rec, faults::FaultSeverity severity);
     void retire_and_replace(hardware::HostRecord& rec);
     void handle_sensor_incident(hardware::HostRecord& rec, core::Celsius reading);

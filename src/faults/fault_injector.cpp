@@ -23,11 +23,7 @@ bool HostFaultProcess::advance(core::Duration dt, const StressState& stress) {
     if (dt.count() < 0) throw core::InvalidArgument("HostFaultProcess::advance: negative dt");
     StressState s = stress;
     s.known_unreliable = known_unreliable_;
-    return accumulate(model_->hazard_per_hour(s) * (static_cast<double>(dt.count()) / 3600.0));
-}
-
-bool HostFaultProcess::accumulate(double hazard_hours) {
-    cumulative_ += hazard_hours;
+    cumulative_ += model_->hazard_per_hour(s) * (static_cast<double>(dt.count()) / 3600.0);
     if (cumulative_ >= threshold_) {
         cumulative_ = 0.0;
         threshold_ = rng_.exponential(1.0);
@@ -66,29 +62,8 @@ std::optional<FaultSeverity> FaultInjector::advance_host(int host_id, core::Dura
         throw core::InvalidArgument("FaultInjector::advance_host: unknown host");
     }
     if (!it->second.advance(dt, stress)) return std::nullopt;
-    return record_failure(it->second, now, source, in_tent, log);
-}
 
-std::optional<FaultSeverity> FaultInjector::commit_host(int host_id, double hazard_hours,
-                                                        core::TimePoint now,
-                                                        const std::string& source, bool in_tent,
-                                                        FaultLog& log) {
-    const auto it = processes_.find(host_id);
-    if (it == processes_.end()) {
-        throw core::InvalidArgument("FaultInjector::commit_host: unknown host");
-    }
-    if (!it->second.accumulate(hazard_hours)) return std::nullopt;
-    return record_failure(it->second, now, source, in_tent, log);
-}
-
-const HostFaultProcess* FaultInjector::process(int host_id) const {
-    const auto it = processes_.find(host_id);
-    return it == processes_.end() ? nullptr : &it->second;
-}
-
-FaultSeverity FaultInjector::record_failure(HostFaultProcess& process, core::TimePoint now,
-                                            const std::string& source, bool in_tent,
-                                            FaultLog& log) {
+    HostFaultProcess& process = it->second;
     const FaultSeverity severity = process.classify_failure();
     FaultRecord rec;
     rec.time = now;
@@ -102,6 +77,11 @@ FaultSeverity FaultInjector::record_failure(HostFaultProcess& process, core::Tim
     rec.in_tent = in_tent;
     log.record(std::move(rec));
     return severity;
+}
+
+const HostFaultProcess* FaultInjector::process(int host_id) const {
+    const auto it = processes_.find(host_id);
+    return it == processes_.end() ? nullptr : &it->second;
 }
 
 }  // namespace zerodeg::faults

@@ -7,9 +7,9 @@
 // in-field failures present as transients (the paper's host #15 pattern:
 // transient first, then a repeat that proves permanent).
 //
-// All hosts share one immutable HostHazardModel (and thus one precomputed
-// HazardTable): the model depends only on the config, so the injector
-// builds it once and every process evaluates against the same tables.
+// All hosts share one immutable HostHazardModel: the model depends only on
+// the config, so the injector builds it once and every process evaluates
+// against it.
 #pragma once
 
 #include <map>
@@ -49,12 +49,6 @@ public:
     /// system failure fires within this interval.
     [[nodiscard]] bool advance(core::Duration dt, const StressState& stress);
 
-    /// Batched-engine entry point: add an already-evaluated hazard integral
-    /// (failures/hour x hours) to the accumulator.  Identical crossing
-    /// arithmetic to advance(); callers must feed the same products the
-    /// per-object path would compute.
-    [[nodiscard]] bool accumulate(double hazard_hours);
-
     /// Classify the failure that just fired (call once per fired event).
     [[nodiscard]] FaultSeverity classify_failure();
 
@@ -88,24 +82,10 @@ public:
         int host_id, core::Duration dt, const StressState& stress, core::TimePoint now,
         const std::string& source, bool in_tent, FaultLog& log);
 
-    /// Batched-engine twin of advance_host: the hazard integral for this
-    /// tick was already computed by the shared model's SoA kernel; commit it
-    /// and log exactly as advance_host would have.
-    [[nodiscard]] std::optional<FaultSeverity> commit_host(int host_id, double hazard_hours,
-                                                           core::TimePoint now,
-                                                           const std::string& source,
-                                                           bool in_tent, FaultLog& log);
-
     [[nodiscard]] const HostFaultProcess* process(int host_id) const;
     [[nodiscard]] const InjectorParams& params() const { return params_; }
-    /// The config-wide hazard model (one table build per injector).
-    [[nodiscard]] const HostHazardModel& model() const { return *model_; }
 
 private:
-    [[nodiscard]] FaultSeverity record_failure(HostFaultProcess& process, core::TimePoint now,
-                                               const std::string& source, bool in_tent,
-                                               FaultLog& log);
-
     InjectorParams params_;
     std::uint64_t master_seed_;
     std::shared_ptr<const HostHazardModel> model_;

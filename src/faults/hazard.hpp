@@ -9,23 +9,46 @@
 //                       mechanical stress of thermal cycling,
 //   * bathtub         — infant mortality + useful life + wear-out over age,
 // into a single failures-per-hour rate the injector integrates through time.
-//
-// The analytic Arrhenius/Peck classes and their table-backed fast form live
-// in faults/hazard_table.hpp; HostHazardModel routes every evaluation —
-// scalar or batched — through the shared table so both census engines see
-// bit-identical hazards.
+// HostHazardModel evaluates the closed forms directly, once per host per
+// tick; at the paper's 19 hosts that is a small share of a season.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-
 #include "core/units.hpp"
-#include "faults/hazard_table.hpp"
 
 namespace zerodeg::faults {
 
 using core::Celsius;
 using core::RelHumidity;
+
+/// Arrhenius acceleration factor relative to a reference temperature:
+/// AF = exp(Ea/k * (1/T_ref - 1/T)).  Below T_ref the factor drops under 1 —
+/// cold silicon wears *slower*, which is why the paper's outcome (no failure
+/// wave) is physically plausible.
+class ArrheniusModel {
+public:
+    ArrheniusModel(double activation_energy_ev, Celsius reference);
+
+    /// Throws InvalidArgument at or below absolute zero.
+    [[nodiscard]] double acceleration(Celsius t) const;
+
+private:
+    double ea_over_k_;  ///< Ea / Boltzmann-in-eV
+    double t_ref_kelvin_;
+};
+
+/// Peck's humidity model: AF = (RH/RH_ref)^n, commonly n ~ 2.7-3.
+/// Applies above a threshold where surface moisture films form.
+class PeckModel {
+public:
+    PeckModel(double exponent, RelHumidity reference);
+
+    /// RH is clamped at 1% so a bone-dry reading never yields zero.
+    [[nodiscard]] double acceleration(RelHumidity rh) const;
+
+private:
+    double n_;
+    double rh_ref_;
+};
 
 /// Excess hazard from operating below the characterized range: grows
 /// quadratically below the threshold (condensed moisture, brittle solder,
@@ -74,17 +97,6 @@ struct StressState {
     bool known_unreliable = false;  ///< the vendor-B flaky series
 };
 
-/// Structure-of-arrays view of per-host stress for the batched census
-/// engine: parallel arrays, one slot per host, `known_unreliable` as 0/1.
-/// Same fields as StressState, laid out for contiguous sweeps.
-struct StressSoa {
-    const double* intake_c = nullptr;
-    const double* humidity = nullptr;
-    const double* age_hours = nullptr;
-    const double* cycling_rate_k_per_h = nullptr;
-    const std::uint8_t* known_unreliable = nullptr;
-};
-
 struct HostHazardParams {
     /// Baseline annual failure rate (AFR) of a healthy host in spec.  The
     /// fleet is end-of-life hardware headed for recycling, so this sits
@@ -111,24 +123,14 @@ public:
     explicit HostHazardModel(HostHazardParams params = {});
 
     /// Failures per hour under the given stress.
-    [[nodiscard]] double hazard_per_hour(const StressState& s) const {
-        return hazard_one(s.intake.value(), s.humidity.value(), s.age_hours,
-                          s.cycling_rate_k_per_h, s.known_unreliable);
-    }
-
-    /// Batched evaluation over `n` slots; writes failures/hour into `out`.
-    /// Bit-identical to calling the scalar overload slot by slot.
-    void hazard_per_hour(const StressSoa& soa, std::size_t n, double* out) const;
+    [[nodiscard]] double hazard_per_hour(const StressState& s) const;
 
     [[nodiscard]] const HostHazardParams& params() const { return params_; }
-    [[nodiscard]] const HazardTable& table() const { return table_; }
 
 private:
-    [[nodiscard]] double hazard_one(double intake_c, double humidity_pct, double age_hours,
-                                    double cycling_rate_k_per_h, bool known_unreliable) const;
-
     HostHazardParams params_;
-    HazardTable table_;
+    ArrheniusModel arrhenius_;
+    PeckModel peck_;
     ColdStressModel cold_;
     BathtubHazard bathtub_;
     double base_per_hour_;   ///< base_afr / hours-per-year, hoisted

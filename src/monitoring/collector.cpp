@@ -59,7 +59,7 @@ void Collector::add_host(HostBinding binding, core::TimePoint first_sweep) {
 
     if (!sweep_scheduled_) {
         sweep_scheduled_ = true;
-        sim_.schedule_every(start, cadence_, [this] { sweep(); }, "collector-sweep");
+        sim_.schedule_every(start, cadence_, [this] { sweep(); });
     }
 }
 
@@ -155,7 +155,7 @@ void Collector::schedule_retry(int id, int attempt_no) {
         } else {
             host.retry_pending = false;
         }
-    }, "collector-retry");
+    });
 }
 
 void Collector::sweep() {

@@ -10,8 +10,7 @@ LascarLogger::LascarLogger(core::Simulator& sim, const thermal::Enclosure& enclo
       config_(config),
       rng_(rng),
       first_sample_(first_sample < sim.now() ? sim.now() : first_sample) {
-    sim_.schedule_every(first_sample_, config_.cadence, [this] { take_sample(); },
-                        "lascar-sample " + enclosure.name());
+    sim_.schedule_every(first_sample_, config_.cadence, [this] { take_sample(); });
 }
 
 void LascarLogger::schedule_readout(ReadoutTrip trip) { readouts_.push_back(trip); }

@@ -13,7 +13,7 @@ TechnolineMeter::TechnolineMeter(core::Simulator& sim, std::function<core::Watts
     if (!supply_) throw core::InvalidArgument("TechnolineMeter: missing supply callback");
     gain_ = 1.0 + config.gain_error_sigma * rng.normal();
     sim_.schedule_every(first_sample < sim.now() ? sim.now() : first_sample, config.cadence,
-                        [this] { take_sample(); }, "power-meter-sample");
+                        [this] { take_sample(); });
 }
 
 void TechnolineMeter::take_sample() {

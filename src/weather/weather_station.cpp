@@ -15,7 +15,7 @@ WeatherStation::WeatherStation(core::Simulator& sim, std::unique_ptr<WeatherSour
     if (!source_) throw core::InvalidArgument("WeatherStation: null source");
     const TimePoint start = first_sample < sim.now() ? sim.now() : first_sample;
     current_ = source_->advance_to(start);
-    sim_.schedule_every(start, cadence, [this] { take_sample(); }, "weather-station-sample");
+    sim_.schedule_every(start, cadence, [this] { take_sample(); });
 }
 
 WeatherSample WeatherStation::observe_now() {

@@ -42,10 +42,8 @@ void LoadScheduler::add_host(HostBinding binding, core::TimePoint first_cycle) {
             HostState& h = hosts_.at(id);
             if (h.removed) return;
             const auto fuzz = core::Duration::seconds(h.fuzz_rng.uniform_int(0, 119));
-            sim_.schedule_in(fuzz, [this, id] { run_cycle(id); },
-                             "load-cycle host " + std::to_string(id));
-        },
-        "load-tick host " + tag);
+            sim_.schedule_in(fuzz, [this, id] { run_cycle(id); });
+        });
 }
 
 void LoadScheduler::remove_host(int host_id) {

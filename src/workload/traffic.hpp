@@ -8,7 +8,7 @@
 //
 //   utilization -> Server::set_cpu_load -> Fleet::wall_power
 //                -> enclosure heat input -> intake temperature
-//                -> faults::HazardTable stress
+//                -> faults::HostHazardModel stress
 //
 // so traffic shape (diurnal swing, flash crowds) shows up in the thermal
 // trace and the fault census, which is the experiment the paper's free-air
@@ -20,8 +20,8 @@
 // defense evaluated by the cloning reproducibility report in PAPERS.md.
 //
 // The engine is a continuous-time event loop advanced one experiment tick
-// at a time, independent of the host-pass tick engine; per-object and
-// batched engines therefore see byte-identical traffic by construction.
+// at a time, before that tick's host pass; it reads host state only through
+// its bindings.
 #pragma once
 
 #include <array>

@@ -79,6 +79,33 @@ TEST(EventQueue, CancelPending) {
     EXPECT_FALSE(fired);
 }
 
+TEST(EventQueue, CancelAfterFiringIsFalse) {
+    Simulator sim(at(0));
+    int fired = 0;
+    const EventId id = sim.schedule_at(at(10), [&] { ++fired; });
+    sim.schedule_at(at(50), [] {});
+    sim.run_until(at(20));
+    EXPECT_EQ(fired, 1);
+    EXPECT_FALSE(sim.cancel(id));  // a fired one-shot is no longer queued
+    EXPECT_EQ(sim.pending_events(), 1u);
+    sim.run_until(at(100));
+    EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(EventQueue, RunUntilSkipsACancelledHeadWithoutOverrunning) {
+    Simulator sim(at(0));
+    int fired = 0;
+    const EventId early = sim.schedule_at(at(10), [&] { ++fired; });
+    sim.schedule_at(at(200), [&] { ++fired; });
+    EXPECT_TRUE(sim.cancel(early));
+    sim.run_until(at(100));
+    EXPECT_EQ(fired, 0);  // the +200 s event is beyond the horizon
+    EXPECT_EQ(sim.now(), at(100));
+    EXPECT_EQ(sim.pending_events(), 1u);
+    sim.run_until(at(200));
+    EXPECT_EQ(fired, 1);
+}
+
 TEST(EventQueue, CancelUnknownIsFalse) {
     Simulator sim(at(0));
     EXPECT_FALSE(sim.cancel(12345));

@@ -6,10 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/io.hpp"
 #include "energy/pue.hpp"
 #include "experiment/census.hpp"
+#include "experiment/figures.hpp"
 #include "experiment/parallel_census.hpp"
 #include "experiment/prototype.hpp"
 #include "experiment/runner.hpp"
@@ -51,11 +56,51 @@ TEST(GoldenClaims, PrototypeWeekendReproducesThePaperRegime) {
 // --- Section 4 / 4.2: the fault census at the default seed ---------------
 
 /// One full default season (the paper's Feb 19 - Mar 27 window, seed
-/// 20100219), shared by the census golden tests below.  ~1.5 s once.
+/// 20100219) under `workload`, run once per process and shared by the
+/// golden tests below.
+std::unique_ptr<experiment::ExperimentRunner> run_default_season(
+    experiment::WorkloadKind workload) {
+    experiment::ExperimentConfig cfg;
+    cfg.workload = workload;
+    auto run = std::make_unique<experiment::ExperimentRunner>(cfg);
+    run->run();
+    return run;
+}
+
+const experiment::ExperimentRunner& default_season() {
+    static const auto run = run_default_season(experiment::WorkloadKind::kArchive);
+    return *run;
+}
+
+const experiment::ExperimentRunner& default_traffic_season() {
+    static const auto run = run_default_season(experiment::WorkloadKind::kTraffic);
+    return *run;
+}
+
 const experiment::FaultCensus& default_season_census() {
-    static const experiment::FaultCensus census =
-        experiment::run_season_census(experiment::ExperimentConfig{});
+    static const experiment::FaultCensus census = experiment::take_census(default_season());
     return census;
+}
+
+/// FNV-1a of faults.log and events.log exactly as export_figure_data writes
+/// them.  The logs pin ordering as well as totals: same-tick fault records
+/// and event lines that swapped places would move these, not the census.
+struct LogPins {
+    std::uint64_t faults_log_fnv = 0;
+    std::uint64_t events_log_fnv = 0;
+};
+
+LogPins exported_log_pins(const experiment::ExperimentRunner& run, const std::string& name) {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) / ("golden_logs_" + name);
+    fs::create_directories(dir);
+    const experiment::FigureFiles files;
+    (void)experiment::export_figure_data(run, dir.string(), files);
+    core::FileSystem& disk = core::real_fs();
+    const LogPins pins{core::fnv1a(disk.read_file(dir / files.fault_log)),
+                       core::fnv1a(disk.read_file(dir / files.events))};
+    fs::remove_all(dir);
+    return pins;
 }
 
 TEST(GoldenClaims, HostFailureRateIsThePapers56Percent) {
@@ -122,6 +167,12 @@ TEST(GoldenClaims, DefaultSeasonLoadWorkCountersRepeatAcrossJobs) {
     EXPECT_EQ(golden.incident_blocks, 5161u);
 }
 
+TEST(GoldenClaims, DefaultSeasonLogBytes) {
+    const LogPins p = exported_log_pins(default_season(), "archive");
+    EXPECT_EQ(p.faults_log_fnv, 0xe03a38884b3efe45ULL);
+    EXPECT_EQ(p.events_log_fnv, 0xf82bca0c82320f55ULL);
+}
+
 TEST(GoldenClaims, WrongHashRatioOfTheSeasonNear570Million) {
     const experiment::FaultCensus& c = default_season_census();
     // Paper: "around one in 570 million" page operations.  The default
@@ -136,9 +187,7 @@ TEST(GoldenClaims, WrongHashRatioOfTheSeasonNear570Million) {
 // --- Traffic workload: the default request-serving season -----------------
 
 TEST(GoldenClaims, DefaultTrafficSeasonGoldenNumbers) {
-    experiment::ExperimentConfig cfg;
-    cfg.workload = experiment::WorkloadKind::kTraffic;
-    const experiment::FaultCensus c = experiment::run_season_census(cfg);
+    const experiment::FaultCensus c = experiment::take_census(default_traffic_season());
     // Exact pins at the default seed: the whole coupling chain is upstream
     // of these numbers — arrival thinning, PS service, JSQ dispatch, host
     // install/crash schedule, utilization -> heat -> hazard.  Any drift in
@@ -170,12 +219,16 @@ struct TrafficPins {
     std::uint64_t clones_cancelled = 0;
 };
 
-TrafficPins traffic_pins(const experiment::ExperimentConfig& cfg) {
-    experiment::ExperimentRunner run(cfg);
-    run.run();
+TrafficPins traffic_pins(const experiment::ExperimentRunner& run) {
     const workload::TrafficEngine& t = run.traffic();
     return {core::fnv1a(workload::render_slo_csv(t.slo())), t.requests_issued(),
             t.clones_issued(), t.clones_cancelled()};
+}
+
+TrafficPins traffic_pins(const experiment::ExperimentConfig& cfg) {
+    experiment::ExperimentRunner run(cfg);
+    run.run();
+    return traffic_pins(run);
 }
 
 /// Five days over the early fleet with a flash crowd inside the window.
@@ -189,13 +242,17 @@ experiment::ExperimentConfig short_traffic_season() {
 }
 
 TEST(GoldenClaims, DefaultTrafficSeasonSloCsvBytes) {
-    experiment::ExperimentConfig cfg;
-    cfg.workload = experiment::WorkloadKind::kTraffic;
-    const TrafficPins p = traffic_pins(cfg);
+    const TrafficPins p = traffic_pins(default_traffic_season());
     EXPECT_EQ(p.slo_csv_fnv, 0x462a4f0f62fcdecfULL);
     EXPECT_EQ(p.requests_issued, 787666u);
     EXPECT_EQ(p.clones_issued, 787666u);
     EXPECT_EQ(p.clones_cancelled, 0u);
+}
+
+TEST(GoldenClaims, DefaultTrafficSeasonLogBytes) {
+    const LogPins p = exported_log_pins(default_traffic_season(), "traffic");
+    EXPECT_EQ(p.faults_log_fnv, 0x83ef8be45a28bc61ULL);
+    EXPECT_EQ(p.events_log_fnv, 0x03e8cc1db62e8f64ULL);
 }
 
 TEST(GoldenClaims, ClonedTrafficSeasonSloCsvBytes) {

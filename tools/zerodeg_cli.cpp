@@ -107,11 +107,11 @@ const std::map<std::string, std::set<std::string>> kAllowedFlags = {
      {"seed", "end", "trace", "export", "jobs", "checkpoint", "resume", "collector-retries",
       "collector-buffer", "inject-faults", "workload", "clone"}},
     {"census",
-     {"seeds", "jobs", "checkpoint", "resume", "inject-faults", "torture", "engine", "workload",
-      "end", "synthetic"}},
+     {"seeds", "jobs", "checkpoint", "resume", "inject-faults", "torture", "workload", "end",
+      "synthetic"}},
     {"sweep",
-     {"coordinator", "worker", "socket", "checkpoint", "seeds", "jobs", "engine", "workload",
-      "end", "resume", "net-faults", "synthetic", "idle-timeout-ms", "spawn-workers"}},
+     {"coordinator", "worker", "socket", "checkpoint", "seeds", "jobs", "workload", "end",
+      "resume", "net-faults", "synthetic", "idle-timeout-ms", "spawn-workers"}},
     {"prototype", {"seed"}},
 };
 
@@ -363,8 +363,8 @@ int cmd_season(const FlagMap& flags) {
     return 0;
 }
 
-/// The campaign axes `census` and `sweep` share: --seeds, --engine,
-/// --workload, --end (plus sweep's --synthetic fast cells).  Both commands
+/// The campaign axes `census` and `sweep` share: --seeds, --workload,
+/// --end (plus sweep's --synthetic fast cells).  Both commands
 /// building the plan the same way is what gives the coordinator's merged
 /// journal the same campaign key a local census would use, so checkpoints
 /// move freely between local and distributed runs.
@@ -373,29 +373,14 @@ experiment::CensusPlan census_plan_from_flags(const FlagMap& flags) {
     if (seeds == 0) throw core::InvalidArgument("--seeds must be positive");
     experiment::CensusPlan plan;
     plan.seeds = static_cast<std::size_t>(seeds);
-    // --engine selects the host-loop implementation; both produce
-    // byte-identical output (the per-object path is the differential
-    // reference), and the choice is invisible to checkpoint journals.
     // --workload/--end reshape every cell's season the same way.
-    std::optional<experiment::TickEngine> engine;
-    if (flags.count("engine")) {
-        const std::string& v = flags.at("engine");
-        if (v == "batched") {
-            engine = experiment::TickEngine::kBatched;
-        } else if (v == "per-object") {
-            engine = experiment::TickEngine::kPerObject;
-        } else {
-            throw core::InvalidArgument("--engine must be 'batched' or 'per-object'");
-        }
-    }
     const experiment::WorkloadKind workload = parse_workload(flags);
     std::optional<core::TimePoint> end;
     if (flags.count("end")) end = parse_date(flags.at("end"));
-    if (engine || workload != experiment::WorkloadKind::kArchive || end) {
-        plan.make_config = [engine, workload, end](std::size_t, std::uint64_t seed) {
+    if (workload != experiment::WorkloadKind::kArchive || end) {
+        plan.make_config = [workload, end](std::size_t, std::uint64_t seed) {
             experiment::ExperimentConfig config;
             config.master_seed = seed;
-            if (engine) config.engine = *engine;
             config.workload = workload;
             if (end) config.end = *end;
             return config;
@@ -484,7 +469,7 @@ std::vector<std::string> spawned_worker_argv(const FlagMap& flags, std::size_t i
                                      flags.at("socket"), "--checkpoint",
                                      flags.at("checkpoint") + ".worker" + std::to_string(index)};
     for (const char* forwarded :
-         {"seeds", "jobs", "engine", "workload", "end", "net-faults"}) {
+         {"seeds", "jobs", "workload", "end", "net-faults"}) {
         const auto it = flags.find(forwarded);
         if (it == flags.end()) continue;
         argv.push_back("--" + it->first);
@@ -670,18 +655,17 @@ void synopsis(std::ostream& out) {
            "            [--collector-buffer BYTES] [--inject-faults SEED]\n"
            "            [--workload archive|traffic] [--clone]\n"
            "  census    [--seeds N] [--jobs N] [--checkpoint FILE] [--resume]\n"
-           "            [--inject-faults SEED] [--torture] [--engine batched|per-object]\n"
-           "            [--workload archive|traffic] [--end D] [--synthetic]\n"
-           "            (--jobs 0 = all hardware threads; engines are byte-identical,\n"
-           "             per-object is the differential-test reference)\n"
+           "            [--inject-faults SEED] [--torture] [--workload archive|traffic]\n"
+           "            [--end D] [--synthetic]\n"
+           "            (--jobs 0 = all hardware threads)\n"
            "  sweep     --coordinator --socket PATH --checkpoint FILE [--seeds N]\n"
            "            [--resume] [--idle-timeout-ms N] [--spawn-workers N]\n"
            "  sweep     --worker [I/K] --socket PATH --checkpoint FILE [--seeds N]\n"
            "            [--jobs N] [--net-faults SEED]\n"
            "            (bare --worker pulls leases; I/K is the static-shard\n"
            "             compatibility spelling)\n"
-           "            (both sweep modes: [--engine batched|per-object]\n"
-           "             [--workload archive|traffic] [--end D] [--synthetic])\n"
+           "            (both sweep modes: [--workload archive|traffic] [--end D]\n"
+           "             [--synthetic])\n"
            "  prototype [--seed N]\n"
            "exit codes: 0 ok, 1 runtime failure, 2 usage error\n";
 }
