@@ -13,10 +13,11 @@
 #      left behind as a reviewable artifact
 #   3. the `parallel` label rebuilt under ThreadSanitizer — the data-race
 #      gate for the task-pool / sharded-sweep engine
-#   4. the `resilience` + `chaos` labels rebuilt under ASan+UBSan — the gate
-#      for the journal/retry/error paths and the fault-injection/torture
+#   4. the `resilience` + `chaos` + `traffic` labels rebuilt under ASan+UBSan —
+#      the gate for the journal/retry/error paths, the fault-injection/torture
 #      machinery (crash-at-every-write-point resume, watchdog cancellation,
-#      transport-fault and cross-process distributed-sweep torture) — plus
+#      transport-fault and cross-process distributed-sweep torture) and the
+#      traffic engine's bit-identical seasons — plus
 #      cross-process smokes: coordinator + 2 workers over a unix socket with
 #      a seeded FaultyTransport, merged journal byte-compared lossless/lossy,
 #      and a lease-mode campaign where one worker is SIGKILLed permanently
@@ -56,10 +57,10 @@ run cmake -B build-tsan -S . -DZERODEG_SANITIZE=thread
 run cmake --build build-tsan -j "$JOBS"
 run ctest --test-dir build-tsan -L parallel --output-on-failure -j "$JOBS"
 
-echo "=== [4/7] resilience + chaos labels under ASan+UBSan ===" >&2
+echo "=== [4/7] resilience + chaos + traffic labels under ASan+UBSan ===" >&2
 run cmake -B build-asan -S . -DZERODEG_SANITIZE=address,undefined
 run cmake --build build-asan -j "$JOBS"
-run ctest --test-dir build-asan -L 'resilience|chaos' --output-on-failure -j "$JOBS"
+run ctest --test-dir build-asan -L 'resilience|chaos|traffic' --output-on-failure -j "$JOBS"
 
 # Distributed-torture smoke, cross-process: a real coordinator + 2 workers
 # (ASan+UBSan instrumented) over a unix socket, both worker links running a

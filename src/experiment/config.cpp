@@ -1,6 +1,7 @@
 #include "experiment/config.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -65,26 +66,34 @@ void validate(const ExperimentConfig& config) {
     }
     // Traffic knobs are validated even for archive seasons: the defaults are
     // valid, so a rejection always points at a knob someone actually set.
-    if (config.traffic.service_rate <= 0.0) fail("traffic.service_rate must be positive");
-    if (config.traffic.mean_demand_seconds <= 0.0) {
-        fail("traffic.mean_demand_seconds must be positive");
+    // Every test is written to fail for NaN.
+    const workload::TrafficConfig& traffic = config.traffic;
+    const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+    if (!positive(traffic.service_rate)) fail("traffic.service_rate must be finite and positive");
+    if (!positive(traffic.mean_demand_seconds)) {
+        fail("traffic.mean_demand_seconds must be finite and positive");
     }
-    if (config.traffic.deadline_seconds <= 0.0) fail("traffic.deadline_seconds must be positive");
-    if (config.traffic.open.base_rps <= 0.0) fail("traffic.open.base_rps must be positive");
-    if (config.traffic.open.diurnal_amplitude < 0.0 ||
-        config.traffic.open.diurnal_amplitude >= 1.0) {
+    if (!positive(traffic.deadline_seconds)) {
+        fail("traffic.deadline_seconds must be finite and positive");
+    }
+    if (!positive(traffic.open.base_rps)) fail("traffic.open.base_rps must be finite and positive");
+    if (!(traffic.open.diurnal_amplitude >= 0.0 && traffic.open.diurnal_amplitude < 1.0)) {
         fail("traffic.open.diurnal_amplitude must be in [0, 1)");
     }
-    for (std::size_t i = 0; i < config.traffic.open.flash_crowds.size(); ++i) {
-        const workload::FlashCrowd& c = config.traffic.open.flash_crowds[i];
-        if (c.duration.count() <= 0 || c.multiplier < 1.0) {
+    if (!std::isfinite(traffic.open.peak_hour)) fail("traffic.open.peak_hour must be finite");
+    for (std::size_t i = 0; i < traffic.open.flash_crowds.size(); ++i) {
+        const workload::FlashCrowd& c = traffic.open.flash_crowds[i];
+        if (c.duration.count() <= 0 || !(c.multiplier >= 1.0 && std::isfinite(c.multiplier))) {
             fail("traffic.open.flash_crowds[" + std::to_string(i) +
-                 "] needs positive duration and multiplier >= 1");
+                 "] needs positive duration and finite multiplier >= 1");
         }
     }
-    if (config.traffic.closed.users < 1) fail("traffic.closed.users must be >= 1");
-    if (config.traffic.closed.think_seconds <= 0.0) {
-        fail("traffic.closed.think_seconds must be positive");
+    if (!std::isfinite(workload::rate_envelope(traffic.open))) {
+        fail("traffic.open rate envelope overflows");
+    }
+    if (traffic.closed.users < 1) fail("traffic.closed.users must be >= 1");
+    if (!positive(traffic.closed.think_seconds)) {
+        fail("traffic.closed.think_seconds must be finite and positive");
     }
 }
 

@@ -92,6 +92,12 @@ public:
     [[nodiscard]] std::uint64_t requests_issued() const { return requests_issued_; }
     [[nodiscard]] std::uint64_t clones_issued() const { return clones_issued_; }
     [[nodiscard]] std::uint64_t clones_cancelled() const { return clones_cancelled_; }
+    /// The open-loop generator's thinning counters (all zero in closed mode).
+    /// The generator reads one arrival ahead, so `accepted` runs one past the
+    /// requests issued.
+    [[nodiscard]] ThinningCounts thinning() const {
+        return arrivals_ ? arrivals_->counts() : ThinningCounts{};
+    }
     /// Requests dispatched and neither completed nor dropped yet.
     [[nodiscard]] std::size_t in_flight() const {
         return static_cast<std::size_t>(requests_issued_ - slo_.completed() - slo_.dropped());

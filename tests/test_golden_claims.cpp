@@ -249,6 +249,21 @@ TEST(GoldenClaims, DefaultTrafficSeasonSloCsvBytes) {
     EXPECT_EQ(p.clones_cancelled, 0u);
 }
 
+TEST(GoldenClaims, DefaultTrafficSeasonThinningCounts) {
+    // Every candidate draws its exponential and its uniform whether or not
+    // the squeeze settles it, so the candidate count is the unsqueezed
+    // loop's.  The per-bucket bounds leave under 1% of candidates to an
+    // exact arrival_rate call.  The generator reads one arrival ahead of
+    // the requests issued.
+    const workload::TrafficEngine& t = default_traffic_season().traffic();
+    const workload::ThinningCounts c = t.thinning();
+    EXPECT_EQ(c.candidates, 4357570u);
+    EXPECT_EQ(c.exact_evaluations, 8688u);
+    EXPECT_EQ(c.accepted, 787667u);
+    EXPECT_EQ(c.accepted, t.requests_issued() + 1);
+    EXPECT_LT(c.exact_evaluations * 100, c.candidates);
+}
+
 TEST(GoldenClaims, DefaultTrafficSeasonLogBytes) {
     const LogPins p = exported_log_pins(default_traffic_season(), "traffic");
     EXPECT_EQ(p.faults_log_fnv, 0x83ef8be45a28bc61ULL);

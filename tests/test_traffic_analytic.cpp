@@ -5,16 +5,21 @@
 // textbook results the simulator has no way to know except by getting the
 // dynamics right.  Closed-loop throughput is checked against the asymptotic
 // bound min(N/(Z+R), mu), and cloning against its low-load advantage.
+// The open-loop generator's squeezed thinning is replayed against an
+// unsqueezed copy of the loop, arrival for arrival, bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "core/error.hpp"
 #include "core/rng.hpp"
 #include "core/sim_time.hpp"
+#include "experiment/config.hpp"
 #include "workload/ps_queue.hpp"
 #include "workload/request_gen.hpp"
 #include "workload/traffic.hpp"
@@ -450,6 +455,202 @@ TEST(OpenLoopGenerator, OverlappingCrowdsGenerateTheirFullRate) {
     const double expected = 2.25 * static_cast<double>(window.count());
     EXPECT_EQ(expected, 81000.0);
     EXPECT_NEAR(static_cast<double>(inside), expected, 5.0 * std::sqrt(expected));
+}
+
+/// The thinning loop without the squeeze: every candidate evaluates
+/// arrival_rate.  Same stream and the same two draws per candidate, in the
+/// same order, as OpenLoopGenerator.
+class UnsqueezedThinning {
+public:
+    UnsqueezedThinning(OpenLoopConfig config, std::uint64_t master_seed, TimePoint origin)
+        : config_(std::move(config)),
+          origin_(origin),
+          rng_(master_seed, "traffic.arrivals"),
+          rate_max_(rate_envelope(config_)) {}
+
+    double next_arrival() {
+        for (;;) {
+            ++candidates_;
+            t_ += rng_.exponential(rate_max_);
+            const TimePoint at = origin_ + Duration::seconds(static_cast<std::int64_t>(t_));
+            const double accept = arrival_rate(config_, at) / rate_max_;
+            if (rng_.uniform01() < accept) return t_;
+        }
+    }
+
+    [[nodiscard]] std::uint64_t candidates() const { return candidates_; }
+
+private:
+    OpenLoopConfig config_;
+    TimePoint origin_;
+    core::RngStream rng_;
+    double rate_max_;
+    double t_ = 0.0;
+    std::uint64_t candidates_ = 0;
+};
+
+struct SqueezeCase {
+    const char* name;
+    OpenLoopConfig config;
+    TimePoint origin;
+};
+
+/// Thinning buckets are 600 whole seconds counted from the origin; crowds
+/// below start or end on those edges, one second off them, inside buckets,
+/// and overlap, under three amplitudes and peak hours at either end of the
+/// day (and one far outside it).
+std::vector<SqueezeCase> squeeze_cases() {
+    std::vector<SqueezeCase> cases;
+    {
+        // Flat curve: the crowds alone shape the rate.
+        const TimePoint o = kOrigin;
+        OpenLoopConfig c;
+        c.base_rps = 1.2;
+        c.diurnal_amplitude = 0.0;
+        c.peak_hour = 0.0;
+        c.flash_crowds = {{o - Duration::hours(1), Duration::hours(3), 2.5},  // active at t = 0
+                          {o + Duration::hours(5), Duration::hours(2), 1.7},  // on bucket edges
+                          {o + Duration::hours(6) + Duration::seconds(123),
+                           Duration::hours(1) + Duration::seconds(17), 2.3},  // mid-bucket
+                          {o + Duration::hours(20), Duration::minutes(10), 3.1}};
+        cases.push_back({"amp0_peak0_midnight", c, o});
+    }
+    {
+        // Origin mid-afternoon: buckets straddle midnight, and the day's
+        // maximum sits 36 s before it.
+        const TimePoint o = TimePoint::from_civil({2010, 2, 19, 13, 47, 23});
+        OpenLoopConfig c;
+        c.base_rps = 1.5;
+        c.diurnal_amplitude = 0.4;
+        c.peak_hour = 23.99;
+        c.flash_crowds = {{o - Duration::seconds(600), Duration::hours(1), 3.0},
+                          {o + Duration::hours(9) + Duration::seconds(77), Duration::hours(3), 1.9},
+                          {o + Duration::hours(10), Duration::hours(1) + Duration::seconds(599),
+                           1.3},
+                          {o + Duration::hours(10) + Duration::seconds(1), Duration::minutes(50),
+                           2.1},
+                          {o + Duration::hours(18), Duration::hours(2), 2.7}};
+        cases.push_back({"amp04_peak2399_afternoon", c, o});
+    }
+    {
+        // Nearly the full swing: at the trough the rate is 1% of its mean.
+        const TimePoint o = kOrigin + Duration::seconds(299);
+        OpenLoopConfig c;
+        c.base_rps = 2.0;
+        c.diurnal_amplitude = 0.99;
+        c.peak_hour = 0.0;
+        c.flash_crowds = {{o, Duration::hours(4), 1.6},
+                          {o + Duration::hours(2) + Duration::seconds(300), Duration::hours(4),
+                           2.2},
+                          {o + Duration::hours(3) + Duration::seconds(599), Duration::seconds(1),
+                           4.0},
+                          {o + Duration::hours(12), Duration::hours(1), 1.45}};
+        cases.push_back({"amp099_peak0_offset", c, o});
+    }
+    {
+        // A peak hour so far out that the phase is one constant double, well
+        // past the range where multiples of pi can be located.
+        OpenLoopConfig c;
+        c.base_rps = 1.5;
+        c.diurnal_amplitude = 0.4;
+        c.peak_hour = 1e18;
+        c.flash_crowds = {{kOrigin + Duration::hours(3), Duration::hours(2), 2.0}};
+        cases.push_back({"amp04_far_peak_hour", c, kOrigin});
+    }
+    return cases;
+}
+
+TEST(OpenLoopGenerator, SqueezedArrivalsMatchAnUnsqueezedRescanBitForBit) {
+    for (const SqueezeCase& sc : squeeze_cases()) {
+        OpenLoopGenerator gen(sc.config, /*master_seed=*/20100219, sc.origin);
+        UnsqueezedThinning ref(sc.config, /*master_seed=*/20100219, sc.origin);
+        constexpr std::uint64_t kArrivals = 150000;
+        for (std::uint64_t i = 0; i < kArrivals; ++i) {
+            ASSERT_EQ(gen.next_arrival(), ref.next_arrival()) << sc.name << " arrival " << i;
+        }
+        const ThinningCounts& n = gen.counts();
+        EXPECT_EQ(n.candidates, ref.candidates()) << sc.name;
+        EXPECT_EQ(n.accepted, kArrivals) << sc.name;
+        // The band between the bounds is exercised, not only the squeeze.
+        EXPECT_GT(n.exact_evaluations, 0u) << sc.name;
+    }
+}
+
+TEST(AcceptanceBounds, CoverTheRateAtEverySecond) {
+    // Every second of two days, under spans of one bucket (the generator's)
+    // and of a whole day less a second (several cos extrema inside).
+    for (const SqueezeCase& sc : squeeze_cases()) {
+        const double envelope = rate_envelope(sc.config);
+        for (const std::int64_t span : {std::int64_t{600}, std::int64_t{86399}}) {
+            std::uint64_t uncovered = 0;
+            for (std::int64_t first = 0; first < 2 * 86400; first += span) {
+                const TimePoint a = sc.origin + Duration::seconds(first);
+                const TimePoint b = a + Duration::seconds(span - 1);
+                const AcceptanceBounds bounds = acceptance_bounds(sc.config, envelope, a, b);
+                for (TimePoint t = a; t <= b; t += Duration::seconds(1)) {
+                    const double ratio = arrival_rate(sc.config, t) / envelope;
+                    if (!(bounds.lo <= ratio && ratio <= bounds.hi)) ++uncovered;
+                }
+            }
+            EXPECT_EQ(uncovered, 0u) << sc.name << " span " << span;
+        }
+    }
+}
+
+/// Each entry breaks one open-loop knob so the thinning loop could never
+/// return: a NaN acceptance ratio, or an infinite envelope.
+std::vector<std::pair<const char*, void (*)(OpenLoopConfig&)>> bad_open_loop_knobs() {
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    return {
+        {"base_rps NaN", [](OpenLoopConfig& c) { c.base_rps = kNaN; }},
+        {"base_rps inf", [](OpenLoopConfig& c) { c.base_rps = kInf; }},
+        {"amplitude NaN", [](OpenLoopConfig& c) { c.diurnal_amplitude = kNaN; }},
+        {"peak_hour NaN", [](OpenLoopConfig& c) { c.peak_hour = kNaN; }},
+        {"peak_hour inf", [](OpenLoopConfig& c) { c.peak_hour = -kInf; }},
+        {"multiplier inf",
+         [](OpenLoopConfig& c) { c.flash_crowds = {{kOrigin, Duration::hours(1), kInf}}; }},
+        {"multiplier NaN",
+         [](OpenLoopConfig& c) { c.flash_crowds = {{kOrigin, Duration::hours(1), kNaN}}; }},
+        {"multiplier below 1",
+         [](OpenLoopConfig& c) { c.flash_crowds = {{kOrigin, Duration::hours(1), 0.5}}; }},
+        {"empty crowd", [](OpenLoopConfig& c) { c.flash_crowds = {{kOrigin, Duration{0}, 2.0}}; }},
+        {"envelope overflow",
+         [](OpenLoopConfig& c) {
+             c.base_rps = 1e300;
+             c.flash_crowds = {{kOrigin, Duration::hours(1), 1e10}};
+         }},
+    };
+}
+
+TEST(OpenLoopGenerator, RejectsKnobsThatWouldHangTheLoop) {
+    for (const auto& [name, breaks] : bad_open_loop_knobs()) {
+        OpenLoopConfig open;
+        breaks(open);
+        EXPECT_THROW(OpenLoopGenerator(open, 1, kOrigin), core::InvalidArgument) << name;
+
+        experiment::ExperimentConfig cfg;
+        cfg.traffic.open = open;
+        EXPECT_THROW(experiment::validate(cfg), core::InvalidArgument) << name;
+    }
+}
+
+TEST(ExperimentConfig, RejectsNonFiniteTrafficKnobs) {
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const std::vector<std::pair<const char*, void (*)(TrafficConfig&)>> bad = {
+        {"service_rate NaN", [](TrafficConfig& t) { t.service_rate = kNaN; }},
+        {"service_rate inf", [](TrafficConfig& t) { t.service_rate = kInf; }},
+        {"mean_demand_seconds NaN", [](TrafficConfig& t) { t.mean_demand_seconds = kNaN; }},
+        {"deadline_seconds NaN", [](TrafficConfig& t) { t.deadline_seconds = kNaN; }},
+        {"think_seconds NaN", [](TrafficConfig& t) { t.closed.think_seconds = kNaN; }},
+    };
+    experiment::validate(experiment::ExperimentConfig{});  // the defaults pass
+    for (const auto& [name, breaks] : bad) {
+        experiment::ExperimentConfig cfg;
+        breaks(cfg.traffic);
+        EXPECT_THROW(experiment::validate(cfg), core::InvalidArgument) << name;
+    }
 }
 
 }  // namespace
