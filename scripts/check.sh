@@ -13,7 +13,9 @@
 #      left behind as a reviewable artifact
 #   3. the `parallel` label rebuilt under ThreadSanitizer — the data-race
 #      gate for the task-pool / sharded-sweep engine
-#   4. the `resilience` + `chaos` + `traffic` labels rebuilt under ASan+UBSan —
+#   4. the `resilience` + `chaos` + `traffic` labels rebuilt under ASan+UBSan
+#      (plus float-cast-overflow, which GCC's `undefined` group leaves out;
+#      every sanitizer finding is fatal) —
 #      the gate for the journal/retry/error paths, the fault-injection/torture
 #      machinery (crash-at-every-write-point resume, watchdog cancellation,
 #      transport-fault and cross-process distributed-sweep torture) and the
@@ -38,6 +40,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
+# UBSan findings are fatal in the sanitizer trees (-fno-sanitize-recover=all,
+# CMakeLists.txt); give each one a stack trace.
+export UBSAN_OPTIONS="print_stacktrace=1"
 run() { echo "+ $*" >&2; "$@"; }
 
 echo "=== [1/7] hardened warnings + full test suite ===" >&2
@@ -58,7 +63,7 @@ run cmake --build build-tsan -j "$JOBS"
 run ctest --test-dir build-tsan -L parallel --output-on-failure -j "$JOBS"
 
 echo "=== [4/7] resilience + chaos + traffic labels under ASan+UBSan ===" >&2
-run cmake -B build-asan -S . -DZERODEG_SANITIZE=address,undefined
+run cmake -B build-asan -S . -DZERODEG_SANITIZE=address,undefined,float-cast-overflow
 run cmake --build build-asan -j "$JOBS"
 run ctest --test-dir build-asan -L 'resilience|chaos|traffic' --output-on-failure -j "$JOBS"
 
@@ -116,7 +121,8 @@ run cmp "$smoke/lossless/merged.journal" "$smoke/killed/merged.journal"
 echo "distributed smoke: campaign survived a SIGKILLed worker byte-identically" >&2
 
 echo "=== [5/7] compose smoke: sanitize + werror together ===" >&2
-run cmake -B build-asan-werror -S . -DZERODEG_SANITIZE=address,undefined -DZERODEG_WERROR=ON
+run cmake -B build-asan-werror -S . -DZERODEG_SANITIZE=address,undefined,float-cast-overflow \
+    -DZERODEG_WERROR=ON
 run cmake --build build-asan-werror -j "$JOBS" --target zerodeg_core zerodeg_lint
 
 echo "=== [6/7] clang-tidy (optional) ===" >&2

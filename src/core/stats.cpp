@@ -57,7 +57,8 @@ struct RankPair {
 
 RankPair closest_ranks(std::size_t n, double p) {
     if (n == 0) throw InvalidArgument("percentile: empty data");
-    if (p < 0.0 || p > 100.0) throw InvalidArgument("percentile: p out of [0,100]");
+    // Negated so a NaN p fails too (it would otherwise reach the size_t cast).
+    if (!(p >= 0.0 && p <= 100.0)) throw InvalidArgument("percentile: p out of [0,100]");
     const double rank = p / 100.0 * static_cast<double>(n - 1);
     const auto lo = static_cast<std::size_t>(rank);
     return {lo, rank - static_cast<double>(lo)};

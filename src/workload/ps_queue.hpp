@@ -12,9 +12,11 @@
 // complete in admission order, and no randomness lives here (the generators
 // own the RNG streams).
 //
-// The next departure instant is cached: every mutation recomputes it from
-// the resident jobs, so the traffic engine's per-event argmin over hosts
-// reads one double per queue instead of rescanning every queue's jobs.
+// Every operation is one pass over the resident jobs.  The exact minimum of
+// the remaining work is cached and recomputed inside the loop that already
+// subtracts served work or compacts the survivors, and the next departure
+// instant is cached from it, so the traffic engine's per-event argmin over
+// hosts reads one double per queue instead of rescanning every queue's jobs.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +35,14 @@ public:
         double time = 0.0;  ///< absolute queue time of the departure
     };
 
-    /// Admit a job at absolute time `now` (must be >= clock(); callers
-    /// advance_to(now) first so pending departures are not skipped).
+    /// Admit a job of finite positive `demand` at absolute time `now` (must
+    /// be >= clock(); callers advance_to(now) first so pending departures
+    /// are not skipped).  InvalidArgument otherwise, NaN included.
     void admit(std::uint64_t id, double demand, double now);
 
-    /// Advance the queue clock to absolute time `t`, appending every
-    /// departure in (clock(), t] to `out` in completion order.
+    /// Advance the queue clock to absolute time `t` (>= clock(), not NaN),
+    /// appending every departure in (clock(), t] to `out` in completion
+    /// order.
     void advance_to(double t, std::vector<Completion>& out);
 
     /// Remove a resident job (clone cancellation / host crash).  Returns
@@ -67,13 +71,14 @@ private:
         double remaining = 0.0;  ///< work units left
     };
 
-    /// Recompute next_completion_ from the resident jobs; called at the end
-    /// of every operation that moves the clock or the job set.
-    void refresh_next_completion();
+    /// Recompute next_completion_ from min_remaining_; called at the end of
+    /// every operation that moves the clock or the job set.
+    void set_next_completion();
 
     double rate_;
     double clock_ = 0.0;
     double busy_seconds_ = 0.0;
+    double min_remaining_ = 0.0;  ///< least remaining work; meaningful when busy
     double next_completion_;
     std::vector<Job> jobs_;  ///< admission order
 };

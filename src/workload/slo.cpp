@@ -1,9 +1,12 @@
 #include "workload/slo.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
@@ -27,10 +30,12 @@ SloTracker::SloTracker(double deadline_seconds) : deadline_(deadline_seconds) {
 }
 
 void SloTracker::record(double sojourn_seconds) {
+    if (!(sojourn_seconds >= 0.0 && sojourn_seconds < std::numeric_limits<double>::infinity())) {
+        throw core::InvalidArgument("SloTracker::record: sojourn must be finite and >= 0");
+    }
     ++completed_;
     sojourn_sum_ += sojourn_seconds;
     sojourns_.push_back(sojourn_seconds);
-    tick_sojourns_.push_back(sojourn_seconds);
     if (sojourn_seconds > deadline_) {
         ++deadline_misses_;
         ++tick_misses_;
@@ -47,19 +52,13 @@ void SloTracker::record_dropped() {
 void SloTracker::close_tick(core::TimePoint tick_end, double mean_utilization) {
     SloTickRow row;
     row.time = tick_end;
-    row.completed = tick_sojourns_.size();
+    row.completed = sojourns_.size() - tick_first_sojourn_;
+    row.first_sojourn = tick_first_sojourn_;
     row.dropped = tick_dropped_;
     row.deadline_misses = tick_misses_;
     row.mean_utilization = mean_utilization;
-    if (!tick_sojourns_.empty()) {
-        // The buffer is cleared below, so sort it in place once for all three.
-        std::sort(tick_sojourns_.begin(), tick_sojourns_.end());
-        row.p50_seconds = core::percentile_sorted(tick_sojourns_, 50.0);
-        row.p95_seconds = core::percentile_sorted(tick_sojourns_, 95.0);
-        row.p99_seconds = core::percentile_sorted(tick_sojourns_, 99.0);
-    }
     rows_.push_back(row);
-    tick_sojourns_.clear();
+    tick_first_sojourn_ = sojourns_.size();
     tick_dropped_ = 0;
     tick_misses_ = 0;
 }
@@ -83,11 +82,21 @@ double SloTracker::sojourn_percentile(double p) const {
 std::string render_slo_csv(const SloTracker& tracker) {
     std::ostringstream out;
     out << "time,completed,dropped,deadline_misses,p50_s,p95_s,p99_s,mean_utilization\n";
+    std::vector<double> tick;  // one row's sojourns, sorted once for all three
     for (const SloTickRow& row : tracker.tick_rows()) {
+        double p50 = 0.0, p95 = 0.0, p99 = 0.0;
+        if (row.completed > 0) {
+            const auto first =
+                tracker.sojourns().begin() + static_cast<std::ptrdiff_t>(row.first_sojourn);
+            tick.assign(first, first + static_cast<std::ptrdiff_t>(row.completed));
+            std::sort(tick.begin(), tick.end());
+            p50 = core::percentile_sorted(tick, 50.0);
+            p95 = core::percentile_sorted(tick, 95.0);
+            p99 = core::percentile_sorted(tick, 99.0);
+        }
         out << row.time.to_string() << ',' << row.completed << ',' << row.dropped << ','
-            << row.deadline_misses << ',' << fmt6(row.p50_seconds) << ','
-            << fmt6(row.p95_seconds) << ',' << fmt6(row.p99_seconds) << ','
-            << fmt6(row.mean_utilization) << '\n';
+            << row.deadline_misses << ',' << fmt6(p50) << ',' << fmt6(p95) << ','
+            << fmt6(p99) << ',' << fmt6(row.mean_utilization) << '\n';
     }
     return out.str();
 }

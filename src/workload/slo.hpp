@@ -3,10 +3,14 @@
 // Every completed request's sojourn time is recorded (the percentile basis),
 // deadline misses and drops are counted, and a per-tick aggregate row is
 // appended so a season exports a compact latency CSV instead of millions of
-// raw samples.  All aggregation is order-stable: rows are appended in tick
-// order and percentiles use core::stats' deterministic interpolation.
+// raw samples.  A row keeps its tick's slice of the recorded sojourns; the
+// per-tick quantiles are computed from that slice only when the CSV is
+// rendered, since nothing else reads them.  All aggregation is order-stable:
+// rows are appended in tick order and percentiles use core::stats'
+// deterministic interpolation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,12 +22,12 @@ namespace zerodeg::workload {
 /// One tick's latency aggregate (the unit of the exported CSV).
 struct SloTickRow {
     core::TimePoint time;          ///< tick end
+    /// This tick's completions: the slice of SloTracker::sojourns() that
+    /// starts at `first_sojourn` and holds `completed` values.
     std::uint64_t completed = 0;
+    std::size_t first_sojourn = 0;
     std::uint64_t dropped = 0;
     std::uint64_t deadline_misses = 0;
-    double p50_seconds = 0.0;      ///< over this tick's completions (0 if none)
-    double p95_seconds = 0.0;
-    double p99_seconds = 0.0;
     double mean_utilization = 0.0; ///< fleet-mean busy fraction this tick
 };
 
@@ -31,13 +35,14 @@ class SloTracker {
 public:
     explicit SloTracker(double deadline_seconds);
 
-    /// A completed request's sojourn (response) time, in seconds.
+    /// A completed request's sojourn (response) time, in seconds: finite
+    /// and non-negative, else InvalidArgument (NaN included).
     void record(double sojourn_seconds);
     /// A request that never completed (host down, nowhere to dispatch).
     /// Drops are charged as deadline misses too — the user saw no response.
     void record_dropped();
 
-    /// Close the current tick: fold the since-last-call completions into one
+    /// Close the current tick: the since-last-call completions become one
     /// CSV row stamped `tick_end`.
     void close_tick(core::TimePoint tick_end, double mean_utilization);
 
@@ -52,6 +57,8 @@ public:
     [[nodiscard]] double deadline_seconds() const { return deadline_; }
 
     [[nodiscard]] const std::vector<SloTickRow>& tick_rows() const { return rows_; }
+    /// Every completion's sojourn, in record order.
+    [[nodiscard]] const std::vector<double>& sojourns() const { return sojourns_; }
 
 private:
     double deadline_;
@@ -60,13 +67,14 @@ private:
     std::uint64_t deadline_misses_ = 0;
     double sojourn_sum_ = 0.0;
     std::vector<double> sojourns_;      ///< every completion, season-wide
-    std::vector<double> tick_sojourns_; ///< completions since the last close_tick
+    std::size_t tick_first_sojourn_ = 0; ///< sojourns_ index the open tick starts at
     std::uint64_t tick_dropped_ = 0;
     std::uint64_t tick_misses_ = 0;
     std::vector<SloTickRow> rows_;
 };
 
-/// Render the per-tick aggregate rows as CSV (the `traffic_slo.csv` export).
+/// Render the per-tick aggregate rows as CSV (the `traffic_slo.csv` export),
+/// with each row's p50/p95/p99 over its tick's completions (0 if none).
 [[nodiscard]] std::string render_slo_csv(const SloTracker& tracker);
 
 }  // namespace zerodeg::workload

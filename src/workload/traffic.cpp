@@ -1,6 +1,7 @@
 #include "workload/traffic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -42,9 +43,16 @@ TrafficEngine::TrafficEngine(TrafficConfig config, std::uint64_t master_seed,
 }
 
 void TrafficEngine::add_host(HostBinding binding) {
+    if (hosts_.size() % 64 == 0) busy_.push_back(0);
     hosts_.push_back(std::move(binding));
     queues_.emplace_back(config_.service_rate);
     host_up_.push_back(1);
+}
+
+void TrafficEngine::sync_busy(std::size_t host) {
+    const std::uint64_t bit = std::uint64_t{1} << (host % 64);
+    std::uint64_t& word = busy_[host / 64];
+    word = queues_[host].in_service() > 0 ? (word | bit) : (word & ~bit);
 }
 
 std::size_t TrafficEngine::pick_host(std::optional<bool> tent_side) const {
@@ -54,6 +62,9 @@ std::size_t TrafficEngine::pick_host(std::optional<bool> tent_side) const {
         if (!host_up_[h]) continue;
         if (tent_side && hosts_[h].in_tent != *tent_side) continue;
         const std::size_t depth = queues_[h].in_service();
+        // Nothing beats an idle host, and every earlier candidate was busy,
+        // so it is the earliest-added of the least loaded.
+        if (depth == 0) return h;
         if (best == hosts_.size() || depth < best_depth) {
             best = h;
             best_depth = depth;
@@ -126,6 +137,7 @@ void TrafficEngine::dispatch(double t, int user) {
     for (std::size_t k = 0; k < n_targets; ++k) {
         const std::uint64_t clone_id = rid * 2 + k;
         queues_[targets[k]].admit(clone_id, demand_.next(), t);
+        sync_busy(targets[k]);
         state.placements[k] = {targets[k], clone_id};
         ++clones_issued_;
     }
@@ -150,6 +162,7 @@ void TrafficEngine::process_completions() {
             PsQueue& q = queues_[p.host];
             if (q.clock() < done.time) q.advance_to(done.time, work_);
             if (q.cancel(p.clone_id)) ++clones_cancelled_;
+            sync_busy(p.host);
         }
         retire(*request);
     }
@@ -162,6 +175,7 @@ void TrafficEngine::drop_jobs_on_down_hosts() {
         if (host_up_[h] || queues_[h].in_service() == 0) continue;
         dropped_.clear();
         queues_[h].drop_all(dropped_);
+        sync_busy(h);
         for (const std::uint64_t clone_id : dropped_) {
             RequestState* request = find_request(clone_id / 2);
             if (request == nullptr) continue;
@@ -207,14 +221,19 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
             }
         }
 
-        // Next completion across all hosts (ties to the lowest host index).
+        // Next completion across the busy hosts, visited in ascending
+        // index order so ties go to the lowest host index.  An idle host's
+        // next completion is +infinity, so skipping it changes nothing.
         double t_comp = kInf;
         std::size_t comp_host = 0;
-        for (std::size_t h = 0; h < queues_.size(); ++h) {
-            const double t = queues_[h].next_completion_time();
-            if (t < t_comp) {
-                t_comp = t;
-                comp_host = h;
+        for (std::size_t w = 0; w < busy_.size(); ++w) {
+            for (std::uint64_t bits = busy_[w]; bits != 0; bits &= bits - 1) {
+                const std::size_t h = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+                const double t = queues_[h].next_completion_time();
+                if (t < t_comp) {
+                    t_comp = t;
+                    comp_host = h;
+                }
             }
         }
 
@@ -224,6 +243,7 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
         if (t_comp <= t_arr) {
             // Completions first at a tie, so admit() never skips a departure.
             queues_[comp_host].advance_to(t_comp, work_);
+            sync_busy(comp_host);
             process_completions();
         } else if (config_.mode == TrafficConfig::Mode::kOpen) {
             dispatch(t_arr, -1);
@@ -238,7 +258,10 @@ void TrafficEngine::advance(core::TimePoint tick_end) {
     // busy-time integrals.  No completion can fire (the loop drained them).
     // Defensive: a departure here is only reachable through floating-point
     // edge cases at exactly t_end; account for it rather than lose requests.
-    for (PsQueue& q : queues_) q.advance_to(t_end, work_);
+    for (std::size_t h = 0; h < queues_.size(); ++h) {
+        queues_[h].advance_to(t_end, work_);
+        sync_busy(h);
+    }
     if (!work_.empty()) process_completions();
     now_ = t_end;
 

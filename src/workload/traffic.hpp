@@ -133,12 +133,18 @@ private:
     /// Least-loaded operational host; restricted to one side of the split
     /// when `side` is set.  Returns hosts_.size() when none qualifies.
     [[nodiscard]] std::size_t pick_host(std::optional<bool> tent_side) const;
+    /// Set or clear `host`'s bit in busy_ from its queue; called after every
+    /// mutation of that queue.
+    void sync_busy(std::size_t host);
 
     TrafficConfig config_;
     core::TimePoint origin_;
     std::vector<HostBinding> hosts_;
     std::vector<PsQueue> queues_;
     std::vector<char> host_up_;  ///< dispatchability, refreshed each tick
+    /// Hosts with resident jobs, one bit per host (bit h % 64 of word
+    /// h / 64): the next-departure argmin visits only these.
+    std::vector<std::uint64_t> busy_;
 
     std::optional<OpenLoopGenerator> arrivals_;
     double next_arrival_ = 0.0;  ///< open loop: cached next arrival instant

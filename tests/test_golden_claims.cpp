@@ -5,6 +5,7 @@
 // regenerates the *regime*) and exact where the run is deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "experiment/runner.hpp"
 #include "faults/memory_faults.hpp"
 #include "workload/slo.hpp"
+#include "workload/traffic.hpp"
 
 namespace zerodeg {
 namespace {
@@ -288,6 +290,50 @@ TEST(GoldenClaims, ClosedLoopTrafficSeasonSloCsvBytes) {
     EXPECT_EQ(p.requests_issued, 215693u);
     EXPECT_EQ(p.clones_issued, 215693u);
     EXPECT_EQ(p.clones_cancelled, 0u);
+}
+
+TEST(GoldenClaims, WideChurningClonedEngineBytes) {
+    // Engine-level pin past the default fleet: 70 hosts, so any per-host
+    // bookkeeping spans more than one 64-bit word, with the tent side at
+    // hosts 56..69 straddling the word boundary.  A quarter of the basement
+    // and half the tent follow a scripted down/up schedule, so host crashes
+    // drop resident clones (some requests lose one sibling, a few lose both)
+    // while a flash crowd keeps the tent queues deep and the cancel traffic
+    // heavy.
+    workload::TrafficConfig cfg;
+    cfg.clone_across_split = true;
+    const core::TimePoint origin = core::TimePoint::from_date(2010, 2, 19);
+    cfg.open.flash_crowds = {{core::TimePoint::from_civil({2010, 2, 20, 19, 0, 0}),
+                              core::Duration::hours(3), 8.0}};
+    workload::TrafficEngine engine(cfg, /*master_seed=*/20100219, origin);
+    int tick = 0;
+    std::vector<double> peak_load(70, 0.0);
+    for (int h = 0; h < 70; ++h) {
+        workload::TrafficEngine::HostBinding b;
+        b.host_id = "host" + std::to_string(h);
+        b.in_tent = h >= 56;
+        if (h % 4 == 1 || (h >= 56 && h % 2 == 0)) {
+            // Down for two hours out of every eight, in three staggered
+            // phases, so some crashes hit both sides of a clone pair.
+            b.operational = [&tick, h] { return ((tick + 4 * (h % 3)) / 12) % 4 != 0; };
+        }
+        b.set_load = [&peak_load, h](double busy) {
+            double& peak = peak_load[static_cast<std::size_t>(h)];
+            peak = std::max(peak, busy);
+        };
+        engine.add_host(std::move(b));
+    }
+    const core::TimePoint end = origin + core::Duration::days(3);
+    for (core::TimePoint t = origin; t < end; ++tick) {
+        t = t + core::Duration::minutes(10);
+        engine.advance(t);
+    }
+    EXPECT_EQ(core::fnv1a(workload::render_slo_csv(engine.slo())), 0x4f81fdea7bf75bd5ULL);
+    EXPECT_EQ(engine.slo().completed(), 90993u);
+    EXPECT_EQ(engine.slo().dropped(), 4u);
+    EXPECT_EQ(engine.clones_cancelled(), 90978u);
+    // The crowd reached the hosts in the second word.
+    EXPECT_GT(peak_load[69], 0.5);
 }
 
 // --- Section 4.2.2: "around one in 570 million" --------------------------

@@ -85,6 +85,7 @@ TEST(Percentile, Errors) {
     EXPECT_THROW((void)percentile({}, 50.0), InvalidArgument);
     EXPECT_THROW((void)percentile({1.0}, -1.0), InvalidArgument);
     EXPECT_THROW((void)percentile({1.0}, 101.0), InvalidArgument);
+    EXPECT_THROW((void)percentile({1.0, 2.0}, std::nan("")), InvalidArgument);
 }
 
 /// The full-sort percentile: the definition the selection-based
@@ -145,6 +146,7 @@ TEST(Percentile, SortedVariantChecksItsArguments) {
     EXPECT_THROW((void)percentile_sorted({}, 50.0), InvalidArgument);
     EXPECT_THROW((void)percentile_sorted({1.0}, -1.0), InvalidArgument);
     EXPECT_THROW((void)percentile_sorted({1.0}, 101.0), InvalidArgument);
+    EXPECT_THROW((void)percentile_sorted({1.0, 2.0}, std::nan("")), InvalidArgument);
 }
 
 TEST(Correlation, PerfectPositiveAndNegative) {

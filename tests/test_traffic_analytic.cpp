@@ -6,13 +6,16 @@
 // dynamics right.  Closed-loop throughput is checked against the asymptotic
 // bound min(N/(Z+R), mu), and cloning against its low-load advantage.
 // The open-loop generator's squeezed thinning is replayed against an
-// unsqueezed copy of the loop, arrival for arrival, bit for bit.
+// unsqueezed copy of the loop, arrival for arrival, bit for bit, and the
+// one-pass PsQueue against a multi-pass copy, operation for operation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "experiment/config.hpp"
 #include "workload/ps_queue.hpp"
 #include "workload/request_gen.hpp"
+#include "workload/slo.hpp"
 #include "workload/traffic.hpp"
 
 namespace zerodeg::workload {
@@ -243,65 +247,85 @@ TEST(PsQueue, ExactTiesLeaveInAdmissionOrderAroundSurvivors) {
     EXPECT_EQ(q.next_completion_time(), std::numeric_limits<double>::infinity());
 }
 
-/// The processor-sharing model recomputed from scratch: the next departure
-/// is rescanned on every query and each departure rebuilds the job list.
-/// PsQueue caches the former and compacts in place for the latter; both
-/// must agree with this model to the last bit.
-class RescanPsModel {
+/// The reference processor-sharing queue, in multi-pass form: the least
+/// remaining work is rescanned before every departure, and again after
+/// every operation to refresh the cached next departure.  PsQueue caches
+/// that minimum and updates it inside the loops that already touch every
+/// job; both must agree with this reference to the last bit.
+class MultiPassPsQueue {
 public:
-    explicit RescanPsModel(double rate) : rate_(rate) {}
+    explicit MultiPassPsQueue(double rate)
+        : rate_(rate), next_completion_(std::numeric_limits<double>::infinity()) {}
 
     void admit(std::uint64_t id, double demand, double now) {
         if (!jobs_.empty()) {
-            const double work = (now - clock_) * rate_ / static_cast<double>(jobs_.size());
+            const double dt = now - clock_;
+            const double work = dt * rate_ / static_cast<double>(jobs_.size());
             for (Job& j : jobs_) j.remaining -= work;
+            busy_seconds_ += dt;
         }
         clock_ = now;
         jobs_.push_back({id, demand});
+        refresh_next_completion();
     }
 
     void advance_to(double t, std::vector<PsQueue::Completion>& out) {
         while (!jobs_.empty()) {
             const double n = static_cast<double>(jobs_.size());
-            const double min_rem = min_remaining();
+            double min_rem = jobs_.front().remaining;
+            for (const Job& j : jobs_) min_rem = std::min(min_rem, j.remaining);
             const double dt_to_departure = min_rem * n / rate_;
             if (clock_ + dt_to_departure > t) {
-                const double work = (t - clock_) * rate_ / n;
+                const double dt = t - clock_;
+                const double work = dt * rate_ / n;
                 for (Job& j : jobs_) j.remaining -= work;
+                busy_seconds_ += dt;
                 clock_ = t;
+                refresh_next_completion();
                 return;
             }
+            busy_seconds_ += dt_to_departure;
             clock_ += dt_to_departure;
-            for (Job& j : jobs_) j.remaining -= min_rem;
-            std::vector<Job> still;
-            for (const Job& j : jobs_) {
+            std::size_t kept = 0;
+            for (Job& j : jobs_) {
+                j.remaining -= min_rem;
                 if (j.remaining <= 1e-12) {
                     out.push_back({j.id, clock_});
                 } else {
-                    still.push_back(j);
+                    jobs_[kept++] = j;
                 }
             }
-            jobs_ = still;
+            jobs_.resize(kept);
         }
         clock_ = t;
+        refresh_next_completion();
     }
 
     bool cancel(std::uint64_t id) {
-        const auto it = std::find_if(jobs_.begin(), jobs_.end(),
-                                     [id](const Job& j) { return j.id == id; });
-        if (it == jobs_.end()) return false;
-        jobs_.erase(it);
-        return true;
+        for (auto it = jobs_.begin(); it != jobs_.end(); ++it) {
+            if (it->id == id) {
+                jobs_.erase(it);
+                refresh_next_completion();
+                return true;
+            }
+        }
+        return false;
     }
 
     void drop_all(std::vector<std::uint64_t>& out) {
         for (const Job& j : jobs_) out.push_back(j.id);
         jobs_.clear();
+        refresh_next_completion();
     }
 
-    [[nodiscard]] double next_completion_time() const {
-        if (jobs_.empty()) return std::numeric_limits<double>::infinity();
-        return clock_ + min_remaining() * static_cast<double>(jobs_.size()) / rate_;
+    [[nodiscard]] std::size_t in_service() const { return jobs_.size(); }
+    [[nodiscard]] double clock() const { return clock_; }
+    [[nodiscard]] double next_completion_time() const { return next_completion_; }
+
+    double take_busy_seconds() {
+        const double b = busy_seconds_;
+        busy_seconds_ = 0.0;
+        return b;
     }
 
 private:
@@ -310,22 +334,31 @@ private:
         double remaining = 0.0;
     };
 
-    [[nodiscard]] double min_remaining() const {
-        double m = jobs_.front().remaining;
-        for (const Job& j : jobs_) m = std::min(m, j.remaining);
-        return m;
+    void refresh_next_completion() {
+        if (jobs_.empty()) {
+            next_completion_ = std::numeric_limits<double>::infinity();
+            return;
+        }
+        double min_rem = jobs_.front().remaining;
+        for (const Job& j : jobs_) min_rem = std::min(min_rem, j.remaining);
+        next_completion_ = clock_ + min_rem * static_cast<double>(jobs_.size()) / rate_;
     }
 
     double rate_;
     double clock_ = 0.0;
+    double busy_seconds_ = 0.0;
+    double next_completion_;
     std::vector<Job> jobs_;
 };
+
+/// A double's bit pattern, so equality tells -0.0 from +0.0.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 bool same_completions(const std::vector<PsQueue::Completion>& a,
                       const std::vector<PsQueue::Completion>& b) {
     return std::equal(a.begin(), a.end(), b.begin(), b.end(),
                       [](const PsQueue::Completion& x, const PsQueue::Completion& y) {
-                          return x.id == y.id && x.time == y.time;
+                          return x.id == y.id && bits(x.time) == bits(y.time);
                       });
 }
 
@@ -336,7 +369,7 @@ TEST(PsQueue, CachedNextCompletionMatchesARescanAfterEveryOperation) {
     core::RngStream rng(20100219, "test.ps_queue.ops");
     const double rate = 1.5;
     PsQueue q(rate);
-    RescanPsModel model(rate);
+    MultiPassPsQueue model(rate);
     const auto grid_or_exp = [&rng](double mean) {
         return rng.chance(0.5) ? 0.5 * static_cast<double>(rng.uniform_int(1, 4))
                                : rng.exponential(1.0 / mean);
@@ -390,6 +423,174 @@ TEST(PsQueue, CachedNextCompletionMatchesARescanAfterEveryOperation) {
     }
     EXPECT_GT(next_id, 5000u);
     EXPECT_GT(tied_departures, 100u);
+}
+
+TEST(PsQueue, OnePassMatchesTheMultiPassQueueBitForBit) {
+    // Seeded admit / advance_to / cancel / drop_all sequences in rounds of
+    // two phases: a burst that piles 200+ jobs into the queue, then a mixed
+    // phase.  Demands come from a coarse grid (exact ties), from the grid
+    // plus 4e-13 to 2e-12 (survivors left with a remnant just under or just
+    // over the 1e-12 departure threshold), or from an exponential.  Some
+    // advances land exactly on next_completion_time(), and some cancels
+    // remove the job holding the minimum remaining work.  Every observable
+    // is compared bit for bit after every operation.
+    core::RngStream rng(20100219, "test.ps_queue.one_pass");
+    const double rate = 1.25;
+    PsQueue q(rate);
+    MultiPassPsQueue ref(rate);
+    const auto demand = [&rng]() -> double {
+        const double grid = 0.5 * static_cast<double>(rng.uniform_int(1, 4));
+        switch (rng.uniform_int(0, 4)) {
+            case 0:
+            case 1: return grid;
+            case 2: return grid + 4e-13 * static_cast<double>(rng.uniform_int(1, 5));
+            default: return rng.exponential(1.0);
+        }
+    };
+    double now = 0.0;
+    std::uint64_t next_id = 1;
+    std::vector<PsQueue::Completion> got, want;
+    std::vector<std::uint64_t> got_ids, want_ids;
+    std::size_t deepest = 0;
+    std::uint64_t tied_departures = 0, exact_advances = 0, min_cancels = 0;
+    const auto advance_both = [&](double t) {
+        got.clear();
+        want.clear();
+        q.advance_to(t, got);
+        ref.advance_to(t, want);
+        for (std::size_t i = 1; i < got.size(); ++i) {
+            if (got[i].time == got[i - 1].time) ++tied_departures;
+        }
+        return same_completions(got, want);
+    };
+    const auto admit_both = [&]() {
+        const double d = demand();
+        q.admit(next_id, d, now);
+        ref.admit(next_id, d, now);
+        ++next_id;
+    };
+    for (int round = 0; round < 30; ++round) {
+        for (int i = 0; i < 250; ++i) {
+            if (rng.chance(0.3)) now += rng.exponential(1000.0);
+            ASSERT_TRUE(advance_both(now)) << "round " << round << " burst " << i;
+            admit_both();
+            deepest = std::max(deepest, q.in_service());
+        }
+        for (int op = 0; op < 600; ++op) {
+            const double u = rng.uniform01();
+            if (u < 0.3) {
+                if (rng.chance(0.5)) now += rng.exponential(2.0);
+                ASSERT_TRUE(advance_both(now)) << "round " << round << " op " << op;
+                admit_both();
+            } else if (u < 0.55) {
+                now += rng.exponential(1.0);
+                ASSERT_TRUE(advance_both(now)) << "round " << round << " op " << op;
+            } else if (u < 0.7) {
+                // Land exactly on the next departure, then sometimes admit
+                // at that very instant.
+                if (q.in_service() == 0) continue;
+                now = q.next_completion_time();
+                ASSERT_TRUE(advance_both(now)) << "round " << round << " op " << op;
+                ASSERT_FALSE(got.empty()) << "round " << round << " op " << op;
+                ++exact_advances;
+                if (rng.chance(0.5)) admit_both();
+            } else if (u < 0.8) {
+                // Cancel the job that would depart next: a copy of the queue
+                // advanced to its next completion names it.
+                if (q.in_service() == 0) continue;
+                PsQueue peek = q;
+                std::vector<PsQueue::Completion> next;
+                peek.advance_to(q.next_completion_time(), next);
+                ASSERT_FALSE(next.empty());
+                const std::uint64_t id = next[rng.chance(0.5) ? 0 : next.size() - 1].id;
+                ASSERT_TRUE(q.cancel(id));
+                ASSERT_TRUE(ref.cancel(id));
+                ++min_cancels;
+            } else if (u < 0.997) {
+                const auto id = static_cast<std::uint64_t>(
+                    rng.uniform_int(1, static_cast<std::int64_t>(next_id)));
+                ASSERT_EQ(q.cancel(id), ref.cancel(id)) << "round " << round << " op " << op;
+            } else {
+                got_ids.clear();
+                want_ids.clear();
+                q.drop_all(got_ids);
+                ref.drop_all(want_ids);
+                ASSERT_EQ(got_ids, want_ids) << "round " << round << " op " << op;
+            }
+            ASSERT_EQ(bits(q.clock()), bits(ref.clock())) << "round " << round << " op " << op;
+            ASSERT_EQ(bits(q.next_completion_time()), bits(ref.next_completion_time()))
+                << "round " << round << " op " << op;
+            ASSERT_EQ(q.in_service(), ref.in_service()) << "round " << round << " op " << op;
+            if (op % 50 == 0) {
+                ASSERT_EQ(bits(q.take_busy_seconds()), bits(ref.take_busy_seconds()))
+                    << "round " << round << " op " << op;
+            }
+        }
+    }
+    EXPECT_GE(deepest, 200u);
+    EXPECT_GT(tied_departures, 100u);
+    EXPECT_GT(exact_advances, 1000u);
+    EXPECT_GT(min_cancels, 1000u);
+}
+
+TEST(PsQueue, RejectsNaNTimesAndNonFiniteDemands) {
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    PsQueue q(/*service_rate=*/1.0);
+    q.admit(1, 2.0, 1.0);
+    std::vector<PsQueue::Completion> done;
+    EXPECT_THROW(q.advance_to(kNaN, done), core::InvalidArgument);
+    EXPECT_THROW(q.advance_to(0.5, done), core::InvalidArgument);
+    EXPECT_THROW(q.admit(2, 1.0, kNaN), core::InvalidArgument);
+    EXPECT_THROW(q.admit(3, kInf, 1.0), core::InvalidArgument);
+    EXPECT_THROW(q.admit(4, kNaN, 1.0), core::InvalidArgument);
+    EXPECT_THROW(q.admit(5, 0.0, 1.0), core::InvalidArgument);
+    // The rejected calls left the queue as it was.
+    EXPECT_TRUE(done.empty());
+    EXPECT_EQ(q.clock(), 1.0);
+    EXPECT_EQ(q.in_service(), 1u);
+    EXPECT_EQ(q.next_completion_time(), 3.0);
+}
+
+TEST(SloTracker, RejectsNaNNegativeAndInfiniteSojourns) {
+    SloTracker slo(/*deadline_seconds=*/60.0);
+    slo.record(1.5);
+    slo.record(0.0);  // an instant response is a valid sojourn
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -5.0,
+                             std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(slo.record(bad), core::InvalidArgument) << bad;
+    }
+    EXPECT_EQ(slo.completed(), 2u);
+    EXPECT_EQ(slo.mean_sojourn_seconds(), 0.75);
+}
+
+TEST(SloTracker, RenderedQuantilesReadEachTicksOwnCompletions) {
+    // Three ticks: three unsorted completions, none, then one.  Each CSV
+    // row's quantiles come from its own tick's completions only.
+    SloTracker slo(/*deadline_seconds=*/2.5);
+    slo.record(3.0);
+    slo.record(1.0);
+    slo.record(2.0);
+    slo.close_tick(kOrigin + Duration::minutes(10), 0.5);
+    slo.record_dropped();
+    slo.close_tick(kOrigin + Duration::minutes(20), 0.0);
+    slo.record(10.0);
+    slo.close_tick(kOrigin + Duration::minutes(30), 0.25);
+    ASSERT_EQ(slo.tick_rows().size(), 3u);
+    EXPECT_EQ(slo.tick_rows()[2].first_sojourn, 3u);
+    const std::string csv = render_slo_csv(slo);
+    const std::vector<std::string> want = {
+        "time,completed,dropped,deadline_misses,p50_s,p95_s,p99_s,mean_utilization",
+        (kOrigin + Duration::minutes(10)).to_string() +
+            ",3,0,1,2.000000,2.900000,2.980000,0.500000",
+        (kOrigin + Duration::minutes(20)).to_string() +
+            ",0,1,1,0.000000,0.000000,0.000000,0.000000",
+        (kOrigin + Duration::minutes(30)).to_string() +
+            ",1,0,1,10.000000,10.000000,10.000000,0.250000",
+    };
+    std::string expected;
+    for (const std::string& line : want) expected += line + "\n";
+    EXPECT_EQ(csv, expected);
 }
 
 TEST(ArrivalRate, DiurnalAndFlashCrowdCompose) {
