@@ -83,7 +83,7 @@ for mode in lossless lossy; do
         --idle-timeout-ms 60000 >"$smoke/$mode/coord.log" &
     coord=$!
     for w in 0 1; do
-        run "$zd" sweep --worker "$w/2" --socket "$smoke/$mode/s.sock" \
+        run "$zd" sweep --worker --socket "$smoke/$mode/s.sock" \
             --checkpoint "$smoke/$mode/w$w.journal" --seeds 6 --synthetic $faults \
             >"$smoke/$mode/w$w.log" &
     done

@@ -24,16 +24,6 @@ namespace zerodeg::experiment {
 
 namespace fs = std::filesystem;
 
-std::vector<std::size_t> shard_cells(std::size_t cells, const ShardSpec& spec) {
-    if (spec.of == 0 || spec.shard >= spec.of) {
-        throw core::InvalidArgument("shard " + std::to_string(spec.shard) + " of " +
-                                    std::to_string(spec.of) + " is not a valid static shard spec");
-    }
-    std::vector<std::size_t> owned;
-    for (std::size_t i = spec.shard; i < cells; i += spec.of) owned.push_back(i);
-    return owned;
-}
-
 ExperimentConfig cell_config(const CensusPlan& plan, std::size_t index) {
     // Mirrors ParallelCensus::build_configs for a single cell: same seed
     // derivation, same per-cell validation context.  Keeping these in step is
@@ -65,10 +55,11 @@ int frame_attempts(const monitoring::CollectorRetryPolicy& retry) {
 WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
                         const fs::path& journal_path, std::unique_ptr<core::Transport> link,
                         const WorkerOptions& opts) {
-    const bool lease_mode = spec.of == 0;
+    if (spec.of != 0) {
+        throw core::InvalidArgument("worker " + std::to_string(spec.shard) + " names a shard of " +
+                                    std::to_string(spec.of) + "; workers only pull leases");
+    }
     WorkerReport report;
-    report.shard = spec.shard;
-    report.of = spec.of;
 
     const auto say = [&](const std::string& line) {
         if (opts.log) opts.log("worker " + std::to_string(spec.shard) + ": " + line);
@@ -154,10 +145,9 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
     };
 
     // Simulate the missing cells of `cells` into the local journal, each
-    // durable before it is ever streamed.  When attached to a lease
-    // (lease_id != kNoLease) the worker checks in around the work: serial
-    // simulation heartbeats before and reports progress after every cell;
-    // a jobs>1 fan-out brackets the whole batch instead.
+    // durable before it is ever streamed.  The worker checks in around the
+    // work: serial simulation heartbeats before and reports progress after
+    // every cell; a jobs>1 fan-out brackets the whole batch instead.
     const auto simulate_cells = [&](const std::vector<std::size_t>& cells,
                                     std::uint64_t lease_id) {
         std::vector<std::size_t> missing;
@@ -172,7 +162,7 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
         if (missing.empty()) return;
         report.cells_computed += missing.size();
         if (opts.jobs > 1 && missing.size() > 1) {
-            if (lease_id != kNoLease) send_heartbeat(lease_id);
+            send_heartbeat(lease_id);
             (void)runner.map(
                 missing.size(),
                 [&](std::size_t k) {
@@ -182,35 +172,18 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
                     return census;
                 },
                 core::CellRetry{plan.cell_attempts});
-            if (lease_id != kNoLease) {
-                (void)soft_send(encode_progress(lease_id, missing.size(), missing.size()));
-            }
+            (void)soft_send(encode_progress(lease_id, missing.size(), missing.size()));
         } else {
             std::size_t finished = 0;
             for (const std::size_t idx : missing) {
-                if (lease_id != kNoLease) send_heartbeat(lease_id);
+                send_heartbeat(lease_id);
                 const FaultCensus census = run_cell(plan, cell_config(plan, idx));
                 journal.record(idx, census);
                 ++finished;
-                if (lease_id != kNoLease) {
-                    (void)soft_send(encode_progress(lease_id, finished, missing.size()));
-                }
+                (void)soft_send(encode_progress(lease_id, finished, missing.size()));
             }
         }
     };
-
-    // Compatibility phase 1: a static shard is simulated up front, durable
-    // in the local journal before a single byte hits the wire, so a death
-    // anywhere later resumes without re-simulating anything — and an offline
-    // run still leaves the full shard buffered for a later re-stream.
-    if (!lease_mode) {
-        const std::vector<std::size_t> owned = shard_cells(plan.seeds, spec);
-        report.cells_owned = owned.size();
-        simulate_cells(owned, kNoLease);
-        if (report.cells_computed > 0) {
-            say("simulated " + std::to_string(report.cells_computed) + " cells");
-        }
-    }
 
     // Stream one journaled cell until acked (bounded resends).  A cell left
     // unacked on an alive link is not lost: the coordinator re-grants it.
@@ -237,7 +210,7 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
     };
 
     // Everything the local journal holds unacked — resumed cells, a zombie's
-    // stale shard, a crashed lease — streams first; dedupe absorbs replays.
+    // stale cells, a crashed lease — streams first; dedupe absorbs replays.
     const auto stream_backlog = [&] {
         for (std::size_t i = 0; i < key.cells && !done; ++i) {
             if (acked.count(i) != 0 || journal.find(i) == nullptr) continue;
@@ -250,7 +223,7 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
     // The handshake is supervisor machinery, not cell delivery: even a
     // zero-retry cell policy re-hellos, else one swallowed frame strands a
     // healthy worker offline for the whole campaign.
-    const std::string hello = encode_hello(ShardHello{key, spec.shard, spec.of});
+    const std::string hello = encode_hello(ShardHello{key, spec.shard});
     const auto handshake = [&]() -> bool {
         welcomed = false;
         const int attempts = std::max(frame_attempts(opts.retry), 4);
@@ -348,8 +321,7 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
         }
     }
 
-    if (lease_mode) report.cells_owned = touched.size();
-    for (const std::size_t idx : touched) {
+    for (std::size_t idx = 0; idx < key.cells; ++idx) {
         if (acked.count(idx) != 0) continue;
         const FaultCensus* census = journal.find(idx);
         if (census == nullptr) continue;
@@ -436,7 +408,6 @@ namespace {
 /// Coordinator-side view of one worker link.
 struct LinkState {
     std::unique_ptr<core::Transport> link;
-    std::size_t serial = 0;
     bool welcomed = false;
     std::string holder;  ///< identity for the poison meter
     bool has_lease = false;
@@ -598,17 +569,13 @@ CoordinatorReport CoordinatorService::serve(core::Listener& listener) {
                 crash_check(Phase::kAfterRecord, frame_index);
                 if (match) {
                     ls.welcomed = true;
-                    ls.holder = frame.hello.of > 0
-                                    ? "shard " + std::to_string(frame.hello.shard) + "/" +
-                                          std::to_string(frame.hello.of)
-                                    : "worker#" + std::to_string(ls.serial);
                     say(ls.holder + " joined");
                     (void)reply(*ls.link, encode_welcome(im.journal.completed()));
                 } else {
                     (void)reply(*ls.link,
-                                encode_reject("campaign mismatch: coordinator serves base_seed " +
+                                encode_reject("campaign mismatch: coordinator serves the " +
                                               std::to_string(im.campaign.cells) +
-                                              "-cell campaign " +
+                                              "-cell campaign at base_seed " +
                                               std::to_string(im.campaign.base_seed)));
                 }
                 crash_check(Phase::kAfterReply, frame_index);
@@ -671,8 +638,7 @@ CoordinatorReport CoordinatorService::serve(core::Listener& listener) {
         while (std::unique_ptr<core::Transport> fresh = listener.accept(0)) {
             LinkState ls;
             ls.link = std::move(fresh);
-            ls.serial = next_serial++;
-            ls.holder = "worker#" + std::to_string(ls.serial);
+            ls.holder = "worker#" + std::to_string(next_serial++);
             links.push_back(std::move(ls));
             ++im.report.links_accepted;
             progress = true;

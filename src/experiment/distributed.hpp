@@ -29,12 +29,10 @@
 // wedging) and reported loudly; CoordinatorService::result() then throws
 // core::LeaseExpired rather than hand back a table with holes.
 //
-// Compatibility spelling: a ShardSpec with of > 0 still names the historic
-// static `cell % of` shard.  Online it behaves exactly like a lease worker —
-// it pre-simulates its shard durably, streams it, then pulls leases for
-// whatever remains — and offline it degrades to simulating the static shard
-// into the local journal, reporting the cells as buffered.  Re-running the
-// worker once the coordinator is back re-streams them without re-simulating.
+// One worker mode: a worker handshakes, streams the unacked backlog of its
+// local journal, then pulls leases until DONE.  Offline (no link) it
+// simulates nothing and reports that backlog as buffered; the next online
+// run drains it without re-simulating.
 #pragma once
 
 #include <cstddef>
@@ -60,17 +58,13 @@ namespace zerodeg::experiment {
 /// poison: quarantined, reported, never granted again.
 inline constexpr std::size_t kMaxLeaseAttempts = 3;
 
-/// Which slice of the campaign a worker owns.  `of > 0`: the static shard of
-/// cells where index % of == shard.  `of == 0`: lease mode — no static
-/// ownership, the coordinator assigns work; `shard` is just a label.
+/// A worker's identity.  `shard` is a self-chosen label carried in the
+/// HELLO.  `of` survives only so existing `ShardSpec{label, 0}` callers keep
+/// compiling: run_worker throws core::InvalidArgument unless it is 0.
 struct ShardSpec {
     std::size_t shard = 0;
-    std::size_t of = 1;
+    std::size_t of = 0;
 };
-
-/// The cell indices of `spec` within a campaign of `cells` cells, ascending.
-/// Requires a static spec (of > 0).
-[[nodiscard]] std::vector<std::size_t> shard_cells(std::size_t cells, const ShardSpec& spec);
 
 /// The config of a single campaign cell, exactly as ParallelCensus would
 /// build it (same seed derivation, same per-cell validation context).
@@ -80,7 +74,7 @@ struct ShardSpec {
 [[nodiscard]] FaultCensus run_cell(const CensusPlan& plan, const ExperimentConfig& config);
 
 struct WorkerOptions {
-    std::size_t jobs = 1;  ///< fan-out for the local simulate phase
+    std::size_t jobs = 1;  ///< fan-out when simulating a lease
     bool resume = true;    ///< reuse cells already in the local journal
     /// Frame resend budget: a CELL frame gets max_attempts tries (sends
     /// swallowed by the link or left unacked past the ack timeout count as
@@ -103,9 +97,6 @@ struct WorkerOptions {
 };
 
 struct WorkerReport {
-    std::size_t shard = 0;
-    std::size_t of = 1;              ///< 0 = lease mode
-    std::size_t cells_owned = 0;     ///< static shard size, or distinct cells touched
     std::size_t cells_computed = 0;  ///< simulated fresh this run
     std::size_t cells_reused = 0;    ///< found in the local journal
     std::size_t leases_held = 0;     ///< LEASE grants processed
@@ -114,7 +105,7 @@ struct WorkerReport {
     std::size_t resends = 0;         ///< CELL frames sent beyond the first try
     std::size_t drops_absorbed = 0;  ///< sends swallowed by the faulty link
     std::size_t acked = 0;           ///< ACK frames heard (dedup by index)
-    std::size_t buffered = 0;        ///< cells journaled locally but never acked
+    std::size_t buffered = 0;        ///< cells in the local journal left unacked
     std::uint64_t buffered_bytes = 0;  ///< wire bytes of those unacked records
     int reconnects = 0;
     bool coordinator_reached = false;  ///< handshake completed at least once
@@ -122,15 +113,15 @@ struct WorkerReport {
     bool degraded = false;  ///< finished with unacked cells and no DONE
 };
 
-/// Run one worker: pull leases over `link` (see the file comment for the
-/// static-shard compatibility spelling), simulating granted cells into the
+/// Run one worker: handshake over `link`, stream every unacked cell of the
 /// local journal at `journal_path` — opened with the *full-campaign* key, so
-/// the file is a valid resume point for a local run too — and streaming them
-/// until the coordinator sends DONE.  `link` may be nullptr: offline mode,
-/// simulate + journal only (static specs only; a lease worker has nothing to
-/// do offline).  Throws core::StaleJournal if the coordinator rejects the
-/// handshake, and lets core::SimulatedCrash propagate (the torture
-/// harness's kill switch).
+/// the file is a valid resume point for a local run too — then pull leases,
+/// simulating granted cells into that journal and streaming them, until the
+/// coordinator sends DONE.  A null `link` means the coordinator is
+/// unreachable: nothing is simulated and the journal's unacked cells are
+/// reported as buffered.  Throws core::InvalidArgument unless spec.of == 0,
+/// core::StaleJournal if the coordinator rejects the handshake, and lets
+/// core::SimulatedCrash propagate (the torture harness's kill switch).
 [[nodiscard]] WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
                                       const std::filesystem::path& journal_path,
                                       std::unique_ptr<core::Transport> link,
@@ -237,7 +228,7 @@ private:
 };
 
 /// In-process distributed campaign: one coordinator thread + `workers`
-/// lease-mode worker threads over loopback links, every link wrapped in a
+/// worker threads over loopback links, every link wrapped in a
 /// FaultyTransport.  This is the harness run_distributed-based tests and the
 /// torture campaign drive; the CLI wires the same pieces over unix sockets.
 struct DistributedOptions {

@@ -55,8 +55,7 @@ std::vector<zerodeg::test::CommandResult> run_campaign(const fs::path& dir, std:
     for (std::size_t w = 0; w < workers; ++w) {
         threads.emplace_back([&, w] {
             results[w + 1] =
-                run_cli("sweep --worker " + std::to_string(w) + "/" + std::to_string(workers) +
-                        " --socket " + socket + " --checkpoint " +
+                run_cli("sweep --worker --socket " + socket + " --checkpoint " +
                         (dir / ("w" + std::to_string(w) + ".journal")).string() + " " + common +
                         " " + worker_extra);
         });
@@ -67,14 +66,15 @@ std::vector<zerodeg::test::CommandResult> run_campaign(const fs::path& dir, std:
 
 TEST(CliSweep, UsageErrors) {
     EXPECT_EQ(run_cli("sweep").exit_code, 2);  // neither role
-    EXPECT_EQ(run_cli("sweep --coordinator --worker 0/2 --socket /tmp/x --checkpoint /tmp/y")
+    EXPECT_EQ(run_cli("sweep --coordinator --worker --socket /tmp/x --checkpoint /tmp/y")
                   .exit_code,
               2);  // both roles
     EXPECT_EQ(run_cli("sweep --coordinator --checkpoint /tmp/y").exit_code, 2);  // no socket
     EXPECT_EQ(run_cli("sweep --coordinator --socket /tmp/x").exit_code, 2);  // no checkpoint
-    EXPECT_EQ(run_cli("sweep --worker 2/2 --socket /tmp/x --checkpoint /tmp/y").exit_code, 2);
+    // --worker takes no value: a shard spelling such as 0/2 is a usage error.
+    EXPECT_EQ(run_cli("sweep --worker 0/2 --socket /tmp/x --checkpoint /tmp/y").exit_code, 2);
     EXPECT_EQ(run_cli("sweep --worker banana --socket /tmp/x --checkpoint /tmp/y").exit_code, 2);
-    EXPECT_EQ(run_cli("sweep --worker 0/2 --socket /tmp/x --checkpoint /tmp/y --torture")
+    EXPECT_EQ(run_cli("sweep --worker --socket /tmp/x --checkpoint /tmp/y --torture")
                   .exit_code,
               2);  // census-only flag
     EXPECT_EQ(run_cli("sweep --worker --spawn-workers 2 --socket /tmp/x --checkpoint /tmp/y")
@@ -97,7 +97,7 @@ TEST(CliSweep, BareWorkerPullsLeases) {
     coordinator.join();
     ASSERT_EQ(coord.exit_code, 0) << coord.output;
     ASSERT_EQ(worker.exit_code, 0) << worker.output;
-    // The worker asked for work instead of owning a static shard...
+    // The worker asked for work...
     EXPECT_NE(worker.output.find("lease mode"), std::string::npos) << worker.output;
     // ...and the coordinator granted leases and still prints the exact
     // local-census table.
@@ -185,22 +185,25 @@ TEST(CliSweep, UnreachableCoordinatorDegradesToLocalBufferingThenDrains) {
     const std::string journal = (dir / "w0.journal").string();
     const std::string common = "--seeds 4 --synthetic";
 
-    // No coordinator anywhere: the worker must still succeed, with every
-    // cell buffered in its local journal.
-    const auto offline = run_cli("sweep --worker 0/1 --socket " + socket + " --checkpoint " +
+    // A local census left its cells in the worker's journal.  With no
+    // coordinator anywhere the worker must still succeed, reporting every
+    // one of them buffered.
+    const auto local = run_cli("census --checkpoint " + journal + " " + common);
+    ASSERT_EQ(local.exit_code, 0) << local.output;
+    const auto offline = run_cli("sweep --worker --socket " + socket + " --checkpoint " +
                                  journal + " " + common);
     ASSERT_EQ(offline.exit_code, 0) << offline.output;
     EXPECT_NE(offline.output.find("degraded"), std::string::npos) << offline.output;
     EXPECT_NE(offline.output.find("4 cell(s) buffered"), std::string::npos) << offline.output;
     ASSERT_TRUE(fs::exists(journal));
 
-    // The coordinator comes back; a re-run streams the buffered cells
+    // The coordinator comes back; a re-run drains the buffered cells
     // without re-simulating a thing.
     std::thread coordinator([&] {
         (void)run_cli("sweep --coordinator --socket " + socket + " --checkpoint " +
                       (dir / "merged.journal").string() + " --idle-timeout-ms 30000 " + common);
     });
-    const auto drained = run_cli("sweep --worker 0/1 --socket " + socket + " --checkpoint " +
+    const auto drained = run_cli("sweep --worker --socket " + socket + " --checkpoint " +
                                  journal + " " + common);
     coordinator.join();
     ASSERT_EQ(drained.exit_code, 0) << drained.output;
@@ -220,7 +223,7 @@ TEST(CliSweep, ForeignCampaignWorkerIsRejected) {
     });
     // Same cell count, different campaign shape (--end changes every cell's
     // config hash): the coordinator must turn the worker away loudly.
-    const auto rejected = run_cli("sweep --worker 0/1 --socket " + socket + " --checkpoint " +
+    const auto rejected = run_cli("sweep --worker --socket " + socket + " --checkpoint " +
                                   (dir / "w0.journal").string() +
                                   " --seeds 4 --synthetic --end 2010-02-20");
     EXPECT_EQ(rejected.exit_code, 1) << rejected.output;

@@ -57,40 +57,50 @@ std::string local_reference_render(const CensusPlan& plan) {
     return render_census_table(run_census(plan, 1), plan.base_seed);
 }
 
-TEST(ShardCells, RoundRobinPartitionIsDisjointAndComplete) {
-    std::vector<bool> seen(10, false);
-    for (std::size_t w = 0; w < 3; ++w) {
-        for (std::size_t idx : shard_cells(10, ShardSpec{w, 3})) {
-            ASSERT_LT(idx, 10u);
-            EXPECT_FALSE(seen[idx]) << "cell " << idx << " owned twice";
-            seen[idx] = true;
-        }
-    }
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-        EXPECT_TRUE(seen[i]) << "cell " << i << " unowned";
-    }
-    EXPECT_THROW((void)shard_cells(10, ShardSpec{3, 3}), core::InvalidArgument);
-    EXPECT_THROW((void)shard_cells(10, ShardSpec{0, 0}), core::InvalidArgument);
-}
-
 TEST(RunWorker, OfflineModeJournalsLocallyAndResumes) {
     const CensusPlan plan = synthetic_plan(5);
     const fs::path dir = scratch_dir("offline");
+    const fs::path local = worker_journal_path(dir, 0);
+    // A local run fills the worker's journal: it carries the full-campaign
+    // key, so every cell in it is backlog the coordinator never acked.
+    {
+        const ParallelCensus census(plan, 1);
+        SweepJournal journal(local, census.journal_key(), false);
+        (void)census.run(journal);
+    }
 
-    const WorkerReport first =
-        run_worker(plan, ShardSpec{0, 2}, worker_journal_path(dir, 0), nullptr);
-    EXPECT_EQ(first.cells_owned, 3u);  // cells 0, 2, 4
-    EXPECT_EQ(first.cells_computed, 3u);
-    EXPECT_EQ(first.buffered, 3u);
-    EXPECT_GT(first.buffered_bytes, 0u);
-    EXPECT_TRUE(first.degraded);
-    EXPECT_FALSE(first.coordinator_reached);
+    // Coordinator unreachable: nothing is simulated, everything is buffered.
+    const WorkerReport offline = run_worker(plan, ShardSpec{}, local, nullptr);
+    EXPECT_EQ(offline.cells_computed, 0u);
+    EXPECT_EQ(offline.buffered, 5u);
+    EXPECT_GT(offline.buffered_bytes, 0u);
+    EXPECT_TRUE(offline.degraded);
+    EXPECT_FALSE(offline.coordinator_reached);
 
-    // A re-run finds every cell in the local journal: durable before wire.
-    const WorkerReport second =
-        run_worker(plan, ShardSpec{0, 2}, worker_journal_path(dir, 0), nullptr);
-    EXPECT_EQ(second.cells_reused, 3u);
-    EXPECT_EQ(second.cells_computed, 0u);
+    // The coordinator is back: the next run drains the backlog without
+    // re-simulating a cell.
+    CoordinatorService service(plan, merged_journal_path(dir));
+    core::LoopbackListener listener;
+    std::thread coordinator([&] {
+        (void)service.serve(listener);
+        listener.close();
+    });
+    const WorkerReport online = run_worker(plan, ShardSpec{}, local, listener.connect());
+    coordinator.join();
+    EXPECT_EQ(online.cells_reused, 5u);
+    EXPECT_EQ(online.cells_computed, 0u);
+    EXPECT_EQ(online.buffered, 0u);
+    EXPECT_FALSE(online.degraded);
+    EXPECT_TRUE(service.complete());
+    EXPECT_EQ(slurp(merged_journal_path(dir)), slurp(local));
+}
+
+TEST(RunWorker, ShardCountOtherThanZeroIsRejected) {
+    const CensusPlan plan = synthetic_plan(4);
+    const fs::path dir = scratch_dir("shard_count");
+    EXPECT_THROW((void)run_worker(plan, ShardSpec{0, 2}, worker_journal_path(dir, 0), nullptr),
+                 core::InvalidArgument);
+    EXPECT_FALSE(fs::exists(worker_journal_path(dir, 0)));
 }
 
 TEST(RunDistributed, MatchesTheLocalRunByteForByte) {
@@ -258,7 +268,7 @@ TEST(CoordinatorService, HeartbeatsKeepAnIdleCoordinatorAlive) {
     });
 
     const std::unique_ptr<core::Transport> link = listener.connect();
-    link->send(encode_hello(ShardHello{service.key(), 0, 0}));
+    link->send(encode_hello(ShardHello{service.key(), 0}));
     std::string bytes;
     ASSERT_TRUE(link->recv_wait(bytes, 5000));
     ASSERT_EQ(decode_frame(bytes).type, FrameType::kWelcome);
@@ -301,7 +311,7 @@ TEST(CoordinatorService, OpCountedDeadlineExpiresSilentLeaseHolder) {
         listener.close();
     });
 
-    const std::string hello = encode_hello(ShardHello{service.key(), 0, 0});
+    const std::string hello = encode_hello(ShardHello{service.key(), 0});
     const std::unique_ptr<core::Transport> a = listener.connect();
     a->send(hello);
     std::string bytes;
@@ -351,16 +361,18 @@ TEST(CoordinatorService, OpCountedDeadlineExpiresSilentLeaseHolder) {
 TEST(RunWorker, ZombieWorkerIsReadmittedAndDeduped) {
     const CensusPlan plan = synthetic_plan(6);
     const fs::path dir = scratch_dir("zombie");
-    // The zombie's past life: an offline compat run buffered shard {1,3,5}.
+    // The zombie's past life: cells {1,3,5} in its local journal, never
+    // acked.  Meanwhile the coordinator merged those same cells from other
+    // workers.
     const fs::path zjournal = worker_journal_path(dir, 1);
-    const WorkerReport offline = run_worker(plan, ShardSpec{1, 2}, zjournal, nullptr);
-    ASSERT_TRUE(offline.degraded);
-    // Meanwhile the coordinator merged those same cells from other workers.
     const SweepJournalKey key = ParallelCensus(plan, 1).journal_key();
     {
+        SweepJournal stale(zjournal, key, false);
         SweepJournal merged(merged_journal_path(dir), key, false);
         for (const std::size_t idx : std::vector<std::size_t>{1, 3, 5}) {
-            merged.record(idx, run_cell(plan, cell_config(plan, idx)));
+            const FaultCensus census = run_cell(plan, cell_config(plan, idx));
+            stale.record(idx, census);
+            merged.record(idx, census);
         }
     }
     CoordinatorOptions copts;
@@ -376,14 +388,14 @@ TEST(RunWorker, ZombieWorkerIsReadmittedAndDeduped) {
     // The zombie reconnects: every stale cell it streams is absorbed by
     // dedupe, and it is handed a fresh lease over the remaining half of the
     // campaign instead of being turned away.
-    const WorkerReport zombie = run_worker(plan, ShardSpec{1, 2}, zjournal, listener.connect());
+    const WorkerReport zombie = run_worker(plan, ShardSpec{1}, zjournal, listener.connect());
     coordinator.join();
 
     EXPECT_TRUE(zombie.done_received);
     EXPECT_FALSE(zombie.degraded);
     EXPECT_GE(zombie.leases_held, 1u);
     EXPECT_EQ(zombie.cells_computed, 3u);  // the fresh lease: cells 0, 2, 4
-    EXPECT_EQ(creport.duplicates, 3u);     // the stale shard, deduped
+    EXPECT_EQ(creport.duplicates, 3u);     // the stale cells, deduped
     EXPECT_EQ(creport.cells_recorded, 3u);
     EXPECT_TRUE(creport.completed);
 
@@ -464,7 +476,7 @@ TEST(RunWorker, DeadSwitchOrphansLeaseAndASurvivorAbsorbsIt) {
     auto gated = std::make_unique<monitoring::NetworkGatedTransport>(net, 1, 100,
                                                                      listener.connect());
     const WorkerReport a = run_worker(
-        plan, ShardSpec{0, 0}, worker_journal_path(dir, 0),
+        plan, ShardSpec{0}, worker_journal_path(dir, 0),
         std::make_unique<SwitchKiller>(std::move(gated), net, tent, 5), aopts);
     EXPECT_TRUE(a.degraded);
     EXPECT_FALSE(a.done_received);
@@ -473,7 +485,7 @@ TEST(RunWorker, DeadSwitchOrphansLeaseAndASurvivorAbsorbsIt) {
     // Worker B, on a healthy path, finishes the whole campaign — including
     // the cells A's orphaned lease still names.
     const WorkerReport b =
-        run_worker(plan, ShardSpec{1, 0}, worker_journal_path(dir, 1), listener.connect());
+        run_worker(plan, ShardSpec{1}, worker_journal_path(dir, 1), listener.connect());
     coordinator.join();
 
     EXPECT_TRUE(b.done_received);
@@ -506,9 +518,15 @@ TEST(RunDistributed, ForeignCampaignHelloIsRejectedAsStale) {
         listener.close();
     });
 
-    EXPECT_THROW((void)run_worker(worker_plan, ShardSpec{0, 1}, worker_journal_path(dir, 0),
-                                  listener.connect()),
-                 core::StaleJournal);
+    try {
+        (void)run_worker(worker_plan, ShardSpec{}, worker_journal_path(dir, 0),
+                         listener.connect());
+        ADD_FAILURE() << "a foreign campaign's worker was welcomed";
+    } catch (const core::StaleJournal& err) {
+        EXPECT_NE(std::string(err.what()).find("4-cell campaign at base_seed 42"),
+                  std::string::npos)
+            << err.what();
+    }
     service.request_stop();
     coordinator.join();
 }

@@ -33,13 +33,21 @@ FaultCensus sample_census(std::uint64_t seed) {
     return synthetic_census(cfg);
 }
 
+/// Seal a hand-written payload with a valid checksum: a forged frame that
+/// only the grammar checks can reject.
+std::string reseal(const std::string& payload) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(core::fnv1a(payload)));
+    return payload + ' ' + buf;
+}
+
 TEST(ShardProtocol, HelloRoundTrips) {
-    const ShardHello hello{sample_key(), 3, 5};
+    const ShardHello hello{sample_key(), 3};
     const Frame frame = decode_frame(encode_hello(hello));
     ASSERT_EQ(frame.type, FrameType::kHello);
     EXPECT_EQ(frame.hello.key, sample_key());
     EXPECT_EQ(frame.hello.shard, 3u);
-    EXPECT_EQ(frame.hello.of, 5u);
 }
 
 TEST(ShardProtocol, WelcomeRejectAckRoundTrip) {
@@ -107,12 +115,6 @@ TEST(ShardProtocol, HeartbeatProgressDoneRoundTrip) {
 
 TEST(ShardProtocol, LeaseValidation) {
     EXPECT_THROW((void)encode_lease(Lease{}), core::InvalidArgument);  // no cells
-    const auto reseal = [](const std::string& payload) {
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "%016llx",
-                      static_cast<unsigned long long>(core::fnv1a(payload)));
-        return payload + ' ' + buf;
-    };
     // Cells must be strictly ascending; the count must match and be > 0.
     EXPECT_THROW((void)decode_frame(reseal("zdsp1 lease 1 64 2 5 5")), core::CorruptData);
     EXPECT_THROW((void)decode_frame(reseal("zdsp1 lease 1 64 2 5 3")), core::CorruptData);
@@ -121,13 +123,24 @@ TEST(ShardProtocol, LeaseValidation) {
     EXPECT_THROW((void)decode_frame(reseal("zdsp1 progress 1 6 5")), core::CorruptData);
 }
 
+TEST(ShardProtocol, ForgedLeaseCountIsCorruptDataNotAnAllocation) {
+    // A count far beyond the cells the frame carries must fail as a
+    // truncated frame, never as bad_alloc or length_error, which the
+    // worker's frame guard would not catch.
+    for (const char* count : {"1099511627776", "4611686018427387904", "18446744073709551615"}) {
+        EXPECT_THROW((void)decode_frame(reseal(std::string("zdsp1 lease 1 1 ") + count + " 0")),
+                     core::CorruptData)
+            << "count " << count;
+    }
+}
+
 TEST(ShardProtocol, AnySingleCharacterFlipIsCaughtForEveryFrameKind) {
     Lease lease;
     lease.id = 8;
     lease.deadline_ops = 128;
     lease.cells = {0, 2};
     const std::string frames[] = {
-        encode_hello(ShardHello{sample_key(), 1, 2}),
+        encode_hello(ShardHello{sample_key(), 1}),
         encode_welcome(3),
         encode_reject("campaign mismatch"),
         encode_cell(4, sample_census(99)),
@@ -151,12 +164,6 @@ TEST(ShardProtocol, AnySingleCharacterFlipIsCaughtForEveryFrameKind) {
 
 TEST(ShardProtocol, ForeignMagicAndUnknownTypeAreRejected) {
     // Valid checksums over a payload speaking the wrong protocol.
-    const auto reseal = [](const std::string& payload) {
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "%016llx",
-                      static_cast<unsigned long long>(core::fnv1a(payload)));
-        return payload + ' ' + buf;
-    };
     EXPECT_THROW((void)decode_frame(reseal("zdsp2 ack 3")), core::CorruptData);
     EXPECT_THROW((void)decode_frame(reseal("zdsp1 goodbye 3")), core::CorruptData);
     EXPECT_THROW((void)decode_frame(reseal("zdsp1 ack 3 junk")), core::CorruptData);
@@ -165,19 +172,16 @@ TEST(ShardProtocol, ForeignMagicAndUnknownTypeAreRejected) {
 }
 
 TEST(ShardProtocol, HelloNamingAnImpossibleShardIsRejected) {
-    const auto reseal = [](const std::string& payload) {
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "%016llx",
-                      static_cast<unsigned long long>(core::fnv1a(payload)));
-        return payload + ' ' + buf;
-    };
-    // shard >= of is impossible for a static shard...
+    // The retired `shard of` form carries a fifth field: trailing junk,
+    // whatever shard it names.
     EXPECT_THROW((void)decode_frame(reseal("zdsp1 hello 1 0000000000000001 4 5 5")),
                  core::CorruptData);
-    // ...but of == 0 is the lease-mode spelling (shard is just a label).
-    const Frame lease_mode = decode_frame(reseal("zdsp1 hello 1 0000000000000001 4 0 0"));
-    ASSERT_EQ(lease_mode.type, FrameType::kHello);
-    EXPECT_EQ(lease_mode.hello.of, 0u);
+    EXPECT_THROW((void)decode_frame(reseal("zdsp1 hello 1 0000000000000001 4 0 0")),
+                 core::CorruptData);
+    // A HELLO names the campaign and a worker label, nothing more.
+    const Frame hello = decode_frame(reseal("zdsp1 hello 1 0000000000000001 4 5"));
+    ASSERT_EQ(hello.type, FrameType::kHello);
+    EXPECT_EQ(hello.hello.shard, 5u);
 }
 
 TEST(ShardProtocol, TamperedEmbeddedCellRecordIsCaughtByTheInnerChecksum) {
@@ -185,12 +189,7 @@ TEST(ShardProtocol, TamperedEmbeddedCellRecordIsCaughtByTheInnerChecksum) {
     // Forge an outer-valid frame around a record whose own checksum is bent.
     std::string bent_record = record;
     bent_record[bent_record.size() - 1] = bent_record.back() == '0' ? '1' : '0';
-    const std::string payload = "zdsp1 cell " + bent_record;
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(core::fnv1a(payload)));
-    const std::string forged = payload + ' ' + buf;
-    EXPECT_THROW((void)decode_frame(forged), core::CorruptData);
+    EXPECT_THROW((void)decode_frame(reseal("zdsp1 cell " + bent_record)), core::CorruptData);
 }
 
 TEST(CellRecordCodec, RoundTripsAndEnforcesTheCellLimit) {

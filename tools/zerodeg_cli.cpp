@@ -30,25 +30,24 @@
 //   zerodeg sweep     --coordinator --socket PATH --checkpoint FILE
 //                     [--seeds N] [--resume] [--idle-timeout-ms N]
 //                     [--spawn-workers N] [...]
-//   zerodeg sweep     --worker [I/K] --socket PATH --checkpoint FILE
+//   zerodeg sweep     --worker --socket PATH --checkpoint FILE
 //                     [--seeds N] [--jobs N] [--net-faults SEED] [...]
 //       Distributed census: the coordinator listens on a unix socket,
 //       grants pull-based leases over cell ranges, and journals cells
-//       streamed by worker processes into the merged --checkpoint.  A bare
-//       --worker runs in lease mode: it asks for work, simulates granted
-//       cells into its own local --checkpoint (durable before any
-//       networking), streams checksummed CELL frames, and resends until
-//       acked.  `--worker I/K` is the compatibility spelling: the static
-//       `index % K == I` shard is pre-simulated durably first, then the
-//       worker follows the same lease flow (offline it degrades to
-//       buffering the shard locally).  Delivery is at-least-once with
+//       streamed by worker processes into the merged --checkpoint.  A
+//       worker asks for work, simulates granted cells into its own local
+//       --checkpoint (durable before any networking), streams checksummed
+//       CELL frames, and resends until acked.  It first streams whatever
+//       its local journal holds unacked; with the coordinator unreachable
+//       it simulates nothing and reports those cells as buffered, and a
+//       later run drains them.  Delivery is at-least-once with
 //       dedupe by cell index, and a dead worker's lease is reassigned to
 //       survivors, so the merged journal — and the census the coordinator
 //       prints — is byte-identical to a local `zerodeg census` run no
 //       matter which process died when, as long as one worker survives.
 //       A cell that kills every worker that touches it is quarantined as
 //       poison and reported loudly (coordinator exits 1).
-//       --spawn-workers N launches N local lease-mode workers as child
+//       --spawn-workers N launches N local workers as child
 //       processes sharing the campaign flags and waits for them.
 //       --net-faults injects a deterministic seed-scheduled fault plan
 //       (drops, duplicates, reorders, dropped acks) into the worker's link.
@@ -97,8 +96,8 @@ using namespace zerodeg;
 using FlagMap = std::map<std::string, std::string>;
 
 /// Flags that take no value.
-const std::set<std::string> kBooleanFlags = {"full-year", "resume",      "torture",
-                                             "clone",     "coordinator", "synthetic"};
+const std::set<std::string> kBooleanFlags = {"full-year",   "resume",    "torture", "clone",
+                                             "coordinator", "synthetic", "worker"};
 
 /// Flags each subcommand accepts; anything else is a usage error.
 const std::map<std::string, std::set<std::string>> kAllowedFlags = {
@@ -133,13 +132,6 @@ FlagMap parse_flags(const std::string& cmd, int argc, char** argv, int first) {
             // insert_or_assign instead of operator[]=: gcc 12's -Wrestrict
             // false-positives on the inlined char* assignment.
             flags.insert_or_assign(key, std::string("1"));
-            continue;
-        }
-        // --worker's value is optional: bare `--worker` is lease mode, the
-        // I/K value is the static-shard compatibility spelling.
-        if (key == "worker" &&
-            (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0)) {
-            flags.insert_or_assign(key, std::string());
             continue;
         }
         if (i + 1 >= argc) {
@@ -439,30 +431,7 @@ int cmd_census(const FlagMap& flags) {
     return 0;
 }
 
-/// Bare "--worker" -> lease mode (ShardSpec{0, 0}); "--worker I/K" ->
-/// the static shard ShardSpec{I, K}.  Validated here so a bad spec is a
-/// usage error (exit 2), not a runtime failure.
-experiment::ShardSpec parse_shard(const std::string& value) {
-    if (value.empty()) return experiment::ShardSpec{0, 0};
-    const std::size_t slash = value.find('/');
-    if (slash == std::string::npos) {
-        throw core::InvalidArgument("--worker wants I/K (e.g. 0/2) or no value for lease mode, "
-                                    "got '" + value + "'");
-    }
-    experiment::ShardSpec spec;
-    try {
-        spec.shard = static_cast<std::size_t>(core::parse_csv_u64(value.substr(0, slash)));
-        spec.of = static_cast<std::size_t>(core::parse_csv_u64(value.substr(slash + 1)));
-    } catch (const core::Error&) {
-        throw core::InvalidArgument("--worker wants I/K (e.g. 0/2), got '" + value + "'");
-    }
-    if (spec.of == 0 || spec.shard >= spec.of) {
-        throw core::InvalidArgument("--worker " + value + " is not a valid shard (need I < K)");
-    }
-    return spec;
-}
-
-/// The argv for one spawned lease-mode worker: the campaign flags are
+/// The argv for one spawned worker: the campaign flags are
 /// forwarded verbatim so its journal key matches the coordinator's.
 std::vector<std::string> spawned_worker_argv(const FlagMap& flags, std::size_t index) {
     std::vector<std::string> argv = {"/proc/self/exe", "sweep", "--worker", "--socket",
@@ -497,7 +466,7 @@ int cmd_sweep_coordinator(const FlagMap& flags, const experiment::CensusPlan& pl
     std::cout << "coordinator: campaign of " << plan.seeds << " cells on " << flags.at("socket")
               << " (" << service.merged() << " already merged)\n";
 
-    // --spawn-workers: launch N local lease-mode workers (via the transport
+    // --spawn-workers: launch N local workers (via the transport
     // seam's process spawner) once the socket is listening, serve them, then
     // reap.  Each gets its own local journal next to the merged one.
     std::vector<core::SpawnedProcess> children;
@@ -546,7 +515,6 @@ int cmd_sweep_coordinator(const FlagMap& flags, const experiment::CensusPlan& pl
 }
 
 int cmd_sweep_worker(const FlagMap& flags, const experiment::CensusPlan& plan) {
-    const experiment::ShardSpec spec = parse_shard(flags.at("worker"));
     const std::string socket = flags.at("socket");
 
     // Bounded connect-wait: the coordinator may not be listening yet (shell
@@ -573,6 +541,8 @@ int cmd_sweep_worker(const FlagMap& flags, const experiment::CensusPlan& plan) {
     if (link && flags.count("net-faults")) {
         // A deterministic lossy link: same seed, same fault schedule.  The
         // resend/ack/dedupe machinery must make it invisible in the output.
+        // The channel is named after the worker's own journal, so workers
+        // sharing one seed still draw independent schedules.
         core::TransportFaultPlan faults;
         faults.seed = flag_u64(flags, "net-faults", 1);
         faults.drop_rate = 0.1;
@@ -580,30 +550,25 @@ int cmd_sweep_worker(const FlagMap& flags, const experiment::CensusPlan& plan) {
         faults.reorder_rate = 0.05;
         faults.ack_drop_rate = 0.05;
         link = std::make_unique<core::FaultyTransport>(
-            faults, "worker." + std::to_string(spec.shard), std::move(link));
+            faults,
+            "worker." + std::filesystem::path(flags.at("checkpoint")).filename().string(),
+            std::move(link));
         opts.retry.max_attempts = 8;  // lossy link: a deeper resend budget
     }
 
     const experiment::WorkerReport report =
-        run_worker(plan, spec, flags.at("checkpoint"), std::move(link), opts);
-    if (report.of == 0) {
-        std::cout << "worker (lease mode): " << report.leases_held << " lease(s) held, "
-                  << report.cells_computed << " simulated, " << report.cells_reused
-                  << " reused, " << report.acked << " acked";
-    } else {
-        std::cout << "worker " << report.shard << "/" << report.of << ": " << report.cells_owned
-                  << " cells owned, " << report.cells_computed << " simulated, "
-                  << report.cells_reused << " reused, " << report.acked << " acked";
-    }
+        run_worker(plan, experiment::ShardSpec{}, flags.at("checkpoint"), std::move(link), opts);
+    std::cout << "worker (lease mode): " << report.leases_held << " lease(s) held, "
+              << report.cells_computed << " simulated, " << report.cells_reused << " reused, "
+              << report.acked << " acked";
     if (report.resends + report.drops_absorbed > 0) {
         std::cout << " (" << report.drops_absorbed << " drop(s), " << report.resends
                   << " resend(s))";
     }
     std::cout << '\n';
     if (report.degraded) {
-        std::cout << "worker " << report.shard << "/" << report.of
-                  << ": degraded — coordinator unreachable; " << report.buffered
-                  << " cell(s) buffered in " << flags.at("checkpoint")
+        std::cout << "worker (lease mode): degraded — coordinator unreachable; "
+                  << report.buffered << " cell(s) buffered in " << flags.at("checkpoint")
                   << " (re-run to stream them)\n";
     }
     return 0;
@@ -614,7 +579,7 @@ int cmd_sweep(const FlagMap& flags) {
     const bool worker = flags.count("worker") > 0;
     if (coordinator == worker) {
         throw core::InvalidArgument(
-            "zerodeg sweep needs exactly one of --coordinator or --worker [I/K]");
+            "zerodeg sweep needs exactly one of --coordinator or --worker");
     }
     if (flags.count("spawn-workers") && !coordinator) {
         throw core::InvalidArgument("--spawn-workers belongs to the --coordinator side");
@@ -660,10 +625,8 @@ void synopsis(std::ostream& out) {
            "            (--jobs 0 = all hardware threads)\n"
            "  sweep     --coordinator --socket PATH --checkpoint FILE [--seeds N]\n"
            "            [--resume] [--idle-timeout-ms N] [--spawn-workers N]\n"
-           "  sweep     --worker [I/K] --socket PATH --checkpoint FILE [--seeds N]\n"
+           "  sweep     --worker --socket PATH --checkpoint FILE [--seeds N]\n"
            "            [--jobs N] [--net-faults SEED]\n"
-           "            (bare --worker pulls leases; I/K is the static-shard\n"
-           "             compatibility spelling)\n"
            "            (both sweep modes: [--workload archive|traffic] [--end D]\n"
            "             [--synthetic])\n"
            "  prototype [--seed N]\n"
@@ -689,7 +652,7 @@ int cmd_help() {
            "                        byte-identical to an uninterrupted run.  Needs\n"
            "                        --checkpoint as scratch; exit 1 on any mismatch.\n"
            "\ndistributed sweeps (zerodeg sweep):\n"
-           "  Start one --coordinator and N bare --worker processes sharing a unix\n"
+           "  Start one --coordinator and N --worker processes sharing a unix\n"
            "  --socket (or let the coordinator --spawn-workers N itself).  Workers\n"
            "  pull leases: the coordinator grants cell ranges, workers simulate\n"
            "  them into their own local journal first (durable before any\n"
@@ -699,10 +662,9 @@ int cmd_help() {
            "  when — a dead worker's lease is reassigned to the survivors\n"
            "  (liveness is counted in protocol ops, never wall clocks).  A cell\n"
            "  that kills every worker that touches it is quarantined as poison\n"
-           "  and the coordinator exits 1, loudly.  `--worker I/K` keeps the old\n"
-           "  static shard: it is pre-simulated durably, then the worker joins\n"
-           "  the same lease flow; offline it degrades to local buffering and a\n"
-           "  re-run streams the buffered cells without re-simulating.\n"
+           "  and the coordinator exits 1, loudly.  A worker that cannot reach the\n"
+           "  coordinator reports its local journal's unacked cells as buffered;\n"
+           "  a re-run streams them without re-simulating.\n"
            "  --net-faults SEED makes the worker's link deterministically lossy\n"
            "  (drops, duplicates, reorders, dropped acks) — the output must not\n"
            "  change.\n"
