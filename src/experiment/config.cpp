@@ -142,7 +142,10 @@ std::uint64_t fingerprint(const ExperimentConfig& config) {
     mix(h, static_cast<std::uint64_t>(config.load.corpus.top_level_dirs));
     mix(h, static_cast<std::uint64_t>(config.load.target_blocks));
     mix(h, config.load.page_op_multiplier);
-    mix(h, config.load.cache_clean_runs);
+    // The retired LoadJobConfig::cache_clean_runs was always true for every
+    // campaign; it stays mixed so journal keys and the campaign HELLO of
+    // existing checkpoints keep their values.
+    mix(h, true);
 
     // Traffic workload: the kind selects the engine, the knobs shape it.
     mix(h, static_cast<int>(config.workload));

@@ -860,10 +860,13 @@ void scrub(const fs::path& dir) {
     fs::create_directories(dir);
 }
 
+/// Two workers: the fewest for which a permanently dead one always leaves a
+/// survivor to absorb its lease.
+constexpr std::size_t kTortureWorkers = 2;
+
 }  // namespace
 
 DistributedTortureReport distributed_torture(const CensusPlan& plan, const fs::path& scratch,
-                                             const DistributedTortureOptions& opts,
                                              std::ostream& log) {
     using Phase = CoordinatorCrashPlan::Phase;
     DistributedTortureReport report;
@@ -872,7 +875,7 @@ DistributedTortureReport distributed_torture(const CensusPlan& plan, const fs::p
     // The uninterrupted local reference: rendered table + journal bytes.
     const fs::path ref_dir = scratch / "reference";
     scrub(ref_dir);
-    const ParallelCensus reference(plan, opts.jobs);
+    const ParallelCensus reference(plan, 1);
     std::string ref_render;
     std::string ref_journal_bytes;
     {
@@ -882,8 +885,7 @@ DistributedTortureReport distributed_torture(const CensusPlan& plan, const fs::p
     }
 
     DistributedOptions base;
-    base.workers = opts.workers;
-    base.worker_jobs = opts.jobs;
+    base.workers = kTortureWorkers;
     base.ack_timeout_ms = 2000;
 
     const auto check = [&](const std::string& what, const fs::path& dir,
@@ -922,65 +924,39 @@ DistributedTortureReport distributed_torture(const CensusPlan& plan, const fs::p
         report.worker_send_points += worker.link_sends;
     }
     report.coordinator_frames = clean.coordinator.frames;
-    log << "distributed torture: " << opts.workers << " workers, " << report.worker_send_points
+    log << "distributed torture: " << kTortureWorkers << " workers, " << report.worker_send_points
         << " worker send points, " << report.coordinator_frames << " coordinator frames\n";
 
-    // Matrix 1 — transient kills: the operator reboots the dead node
-    // (restart_crashed_workers) and the campaign converges.
+    // Matrices 1 and 2 — kill worker w at every send op (every lease
+    // boundary and heartbeat slot is a send).  Transient kills: the operator
+    // reboots the dead node (restart_crashed_workers) and the campaign
+    // converges.  Permanent death: nobody reboots it; the survivor must
+    // absorb its lease and the output must not move by a byte.
     const fs::path kill_dir = scratch / "kill";
-    for (std::size_t w = 0; w < opts.workers; ++w) {
-        for (std::size_t op = 0; op < send_points[w]; ++op) {
-            for (const core::NetCrashPhase phase :
-                 {core::NetCrashPhase::kBeforeOp, core::NetCrashPhase::kAfterOp}) {
-                scrub(kill_dir);
-                DistributedOptions run = base;
-                run.restart_crashed_workers = true;
-                run.worker_faults.assign(opts.workers, core::TransportFaultPlan{});
-                run.worker_faults[w].crash_at_send = op;
-                run.worker_faults[w].crash_phase = phase;
-                const DistributedOutcome outcome = run_distributed(plan, kill_dir, run);
-                ++report.crash_points;
-                ++report.resumes;
-                const std::string what =
-                    "worker " + std::to_string(w) + " killed at send " + std::to_string(op) +
-                    (phase == core::NetCrashPhase::kBeforeOp ? " (before)" : " (after)");
-                if (opts.verbose) log << "  " << what << "\n";
-                if (!outcome.worker_crashed[w]) ++report.unfired_kills;
-                check(what, kill_dir, outcome);
-            }
-        }
-    }
-
-    // Matrix 2 — permanent death: kill worker w forever at every send op
-    // (every lease boundary and heartbeat slot is a send).  Nobody reboots
-    // it; the survivors must absorb its lease and the output must not move
-    // by a byte.  Needs >= 2 workers so one survivor always remains.
-    if (opts.workers >= 2) {
-        for (std::size_t w = 0; w < opts.workers; ++w) {
+    for (const bool permanent : {false, true}) {
+        for (std::size_t w = 0; w < kTortureWorkers; ++w) {
             for (std::size_t op = 0; op < send_points[w]; ++op) {
                 for (const core::NetCrashPhase phase :
                      {core::NetCrashPhase::kBeforeOp, core::NetCrashPhase::kAfterOp}) {
                     scrub(kill_dir);
                     DistributedOptions run = base;
-                    run.restart_crashed_workers = false;
-                    run.worker_faults.assign(opts.workers, core::TransportFaultPlan{});
+                    run.restart_crashed_workers = !permanent;
+                    run.worker_faults.assign(kTortureWorkers, core::TransportFaultPlan{});
                     run.worker_faults[w].crash_at_send = op;
                     run.worker_faults[w].crash_phase = phase;
                     const DistributedOutcome outcome = run_distributed(plan, kill_dir, run);
                     ++report.crash_points;
-                    ++report.permanent_kills;
+                    ++(permanent ? report.permanent_kills : report.resumes);
                     const std::string what =
-                        "worker " + std::to_string(w) + " dead forever at send " +
+                        "worker " + std::to_string(w) +
+                        (permanent ? " dead forever at send " : " killed at send ") +
                         std::to_string(op) +
                         (phase == core::NetCrashPhase::kBeforeOp ? " (before)" : " (after)");
-                    if (opts.verbose) log << "  " << what << "\n";
                     if (!outcome.worker_crashed[w]) ++report.unfired_kills;
                     check(what, kill_dir, outcome);
                 }
             }
         }
-    } else {
-        log << "distributed torture: < 2 workers, permanent-death matrix skipped\n";
     }
 
     // Matrix 3 — kill the coordinator at every frame, all three phases: die
@@ -997,7 +973,6 @@ DistributedTortureReport distributed_torture(const CensusPlan& plan, const fs::p
             ++report.crash_points;
             const std::string what = "coordinator killed at frame " + std::to_string(frame) +
                                      " phase " + std::to_string(static_cast<int>(phase));
-            if (opts.verbose) log << "  " << what << "\n";
             if (!crashed.coordinator_crashed) {
                 // This run's lease chatter never reached the planned frame;
                 // the campaign simply completed — verify and move on.
@@ -1032,7 +1007,6 @@ DistributedTortureReport distributed_torture(const CensusPlan& plan, const fs::p
         DistributedOptions run = base;
         run.lease_chunk = 1;
         run.restart_crashed_workers = true;
-        run.max_lease_attempts = opts.workers >= 2 ? 3 : 2;
         const DistributedOutcome outcome = run_distributed(poisoned, kill_dir, run);
         const std::string what = "poison cell " + std::to_string(poison_index);
         if (outcome.coordinator.quarantined == 1 && outcome.coordinator.resolved &&

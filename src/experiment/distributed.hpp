@@ -274,8 +274,9 @@ struct DistributedOutcome {
 /// each point.  Three matrices plus a poison scenario:
 ///   * transient worker kills — the operator reboots the node
 ///     (restart_crashed_workers) and the campaign converges;
-///   * permanent worker kills — no reboot; the survivors must absorb the
-///     dead worker's lease (needs >= 2 workers);
+///   * permanent worker kills — no reboot; the survivor must absorb the
+///     dead worker's lease (the campaign runs two workers, so one always
+///     survives);
 ///   * coordinator kills at every frame, all three phases, resumed by a
 ///     second clean run;
 ///   * a poison cell every worker crashes on — quarantine must engage and
@@ -285,12 +286,6 @@ struct DistributedOutcome {
 /// vary with thread interleaving, so a planned kill op that a given run
 /// never reaches is checked as a clean campaign instead of counted as a
 /// failure (`unfired_kills` reports how many).
-struct DistributedTortureOptions {
-    std::size_t workers = 2;
-    std::size_t jobs = 1;
-    bool verbose = false;
-};
-
 struct DistributedTortureReport {
     std::size_t worker_send_points = 0;  ///< send ops enumerated across workers
     std::size_t coordinator_frames = 0;
@@ -307,7 +302,6 @@ struct DistributedTortureReport {
 
 [[nodiscard]] DistributedTortureReport distributed_torture(const CensusPlan& plan,
                                                            const std::filesystem::path& scratch,
-                                                           const DistributedTortureOptions& opts,
                                                            std::ostream& log);
 
 }  // namespace zerodeg::experiment

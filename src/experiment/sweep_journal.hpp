@@ -21,7 +21,7 @@
 // run for minutes; a full rewrite of a few-KB text file per cell is noise.
 //
 // All disk access goes through the core::io FileSystem seam, so the torture
-// harness (tools/zerodeg_torture) can crash a campaign at every single write
+// harness (experiment/torture.hpp) can crash a campaign at every single write
 // point and inject short writes / ENOSPC / failed renames; transient faults
 // are absorbed by a bounded deterministic retry of the tmp+rename sequence.
 // One corruption case is recoverable: a *torn tail record* (the checksum of

@@ -92,8 +92,7 @@ void scrub_journal(const std::filesystem::path& journal_path) {
 }  // namespace
 
 TortureReport torture_campaign(const CensusPlan& plan, std::size_t jobs,
-                               const std::filesystem::path& journal_path,
-                               const TortureOptions& options, std::ostream& log) {
+                               const std::filesystem::path& journal_path, std::ostream& log) {
     TortureReport report;
     const ParallelCensus campaign(plan, jobs);
     const SweepJournalKey key = campaign.journal_key();
@@ -119,29 +118,23 @@ TortureReport torture_campaign(const CensusPlan& plan, std::size_t jobs,
     const std::array<core::CrashPhase, 4> phases = {
         core::CrashPhase::kBeforeOp, core::CrashPhase::kTornWrite, core::CrashPhase::kAfterOp,
         core::CrashPhase::kTornTail};
-    const std::size_t phase_count = options.include_torn_tail ? 4 : 3;
 
     for (std::size_t op = 0; op < report.io_ops; ++op) {
-        for (std::size_t p = 0; p < phase_count; ++p) {
+        for (const core::CrashPhase phase : phases) {
             scrub_journal(journal_path);
             core::FaultPlan fault_plan;
             fault_plan.seed = 0x70e7 + op;  // varies the torn-byte choices per op
             fault_plan.crash_at_op = op;
-            fault_plan.crash_phase = phases[p];
+            fault_plan.crash_phase = phase;
             core::FaultyFs faulty(fault_plan);
 
-            bool crashed = false;
             try {
                 SweepJournal journal(journal_path, key, false, &faulty);
                 (void)campaign.run(journal);
             } catch (const core::SimulatedCrash&) {
-                crashed = true;
+                // the "process" died at the crash point
             }
             ++report.crash_points;
-            if (options.verbose) {
-                log << "torture: op " << op << " phase " << core::to_string(phases[p])
-                    << (crashed ? " crashed" : " completed before the crash point") << '\n';
-            }
 
             // The survivor's path: open whatever the dead process left on
             // disk and finish the campaign against the real filesystem.
@@ -165,7 +158,7 @@ TortureReport torture_campaign(const CensusPlan& plan, std::size_t jobs,
             if (got != want) {
                 ++report.mismatches;
                 log << "torture MISMATCH: crash at op " << op << " phase "
-                    << core::to_string(phases[p]) << " (jobs " << jobs
+                    << core::to_string(phase) << " (jobs " << jobs
                     << "): resumed output differs from uninterrupted run\n";
             }
         }

@@ -11,9 +11,9 @@
 // followed by a resume against the real filesystem and a byte-compare of
 // the rendered census tables.
 //
-// The engine is a library so both `zerodeg census --torture` (torture the
-// campaign you were about to run) and tools/zerodeg_torture (standalone
-// harness with fast synthetic cells) share one implementation.
+// The engine is a library so `zerodeg census --torture` (torture the
+// campaign you were about to run) and tests/test_torture.cpp (fast
+// synthetic cells) share one implementation.
 #pragma once
 
 #include <cstddef>
@@ -25,12 +25,6 @@
 #include "experiment/parallel_census.hpp"
 
 namespace zerodeg::experiment {
-
-struct TortureOptions {
-    std::size_t jobs = 1;
-    bool include_torn_tail = true;  ///< also exercise the post-rename torn-tail phase
-    bool verbose = false;           ///< log every crash point, not just failures
-};
 
 struct TortureReport {
     std::size_t io_ops = 0;         ///< write points of one uninterrupted journaled run
@@ -59,9 +53,9 @@ struct TortureReport {
 /// Crash `plan`'s campaign at every journal write point (times every crash
 /// phase), resume each time, and compare against an uninterrupted run.
 /// `journal_path` is scratch: it is deleted and recreated per crash point.
-/// Progress and failures go to `log`.
+/// Mismatches go to `log`.
 [[nodiscard]] TortureReport torture_campaign(const CensusPlan& plan, std::size_t jobs,
                                              const std::filesystem::path& journal_path,
-                                             const TortureOptions& options, std::ostream& log);
+                                             std::ostream& log);
 
 }  // namespace zerodeg::experiment

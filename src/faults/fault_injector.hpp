@@ -53,7 +53,6 @@ public:
     [[nodiscard]] FaultSeverity classify_failure();
 
     [[nodiscard]] int failures_so_far() const { return failures_; }
-    [[nodiscard]] double cumulative_hazard() const { return cumulative_; }
     [[nodiscard]] int host_id() const { return host_id_; }
     [[nodiscard]] bool known_unreliable() const { return known_unreliable_; }
 

@@ -151,8 +151,6 @@ void Server::power_on(core::Celsius intake) {
     for (HardDrive& d : storage_.drives()) d.power_cycle();
 }
 
-void Server::power_off() { state_ = RunState::kPoweredOff; }
-
 void Server::crash(const std::string& reason) {
     if (state_ != RunState::kRunning) return;
     state_ = RunState::kCrashed;

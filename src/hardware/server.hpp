@@ -70,7 +70,6 @@ public:
 
     // --- lifecycle ---------------------------------------------------------
     void power_on(core::Celsius intake);
-    void power_off();
     /// A transient or permanent system failure (from the fault engine).
     void crash(const std::string& reason);
     /// Operator reset after a crash; returns false if the machine is not in

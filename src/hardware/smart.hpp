@@ -67,7 +67,6 @@ public:
     SelfTestResult run_long_test();
 
     [[nodiscard]] const SmartAttribute& attribute(SmartId id) const;
-    [[nodiscard]] const std::vector<SmartAttribute>& attributes() const { return attrs_; }
     [[nodiscard]] bool overall_health_ok() const;
     [[nodiscard]] double power_on_hours() const { return poh_seconds_ / 3600.0; }
     [[nodiscard]] core::Celsius min_temperature_seen() const { return min_temp_; }

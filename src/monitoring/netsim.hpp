@@ -48,7 +48,6 @@ public:
 
     [[nodiscard]] hardware::NetworkSwitch& switch_at(std::size_t index);
     [[nodiscard]] const hardware::NetworkSwitch& switch_at(std::size_t index) const;
-    [[nodiscard]] std::size_t switch_count() const { return switches_.size(); }
     [[nodiscard]] std::size_t ports_used(std::size_t switch_index) const;
 
 private:

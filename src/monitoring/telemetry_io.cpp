@@ -30,10 +30,4 @@ std::string render_collection_csv(const Collector& collector) {
     return out.str();
 }
 
-int write_collection_csv(core::FileSystem& fs, const std::filesystem::path& path,
-                         const Collector& collector, core::IoRetryPolicy retry) {
-    return core::write_file_durable(fs, path, render_collection_csv(collector), retry,
-                                    "collection telemetry '" + path.string() + "'");
-}
-
 }  // namespace zerodeg::monitoring

@@ -1,18 +1,16 @@
-// Durable export of the monitoring host's collection telemetry.
+// The monitoring host's collection telemetry as CSV.
 //
 // The Collector itself is an in-simulation model (sweeps, retries, the
 // bounded store-and-forward buffer); what survives a run on disk is this
 // CSV: one row per monitored host with the full retry/gap/dropped-bytes
-// accounting, followed by the attempt log.  Like every durable writer it
-// goes through the core::io FileSystem seam — never a raw ofstream — so the
-// torture harness can crash or fault-inject the write and the bounded retry
-// keeps the dropped-byte accounting honest.
+// accounting, followed by the attempt log.  The figure export
+// (experiment/figures.hpp) persists it through the core::io FileSystem
+// seam like every other durable output, so the write can be crashed or
+// fault-injected.
 #pragma once
 
-#include <filesystem>
 #include <string>
 
-#include "core/io.hpp"
 #include "monitoring/collector.hpp"
 
 namespace zerodeg::monitoring {
@@ -21,12 +19,5 @@ namespace zerodeg::monitoring {
 /// section ordered by host id, then the chronological attempt log.  A pure
 /// render — byte-identical for identical runs, no I/O.
 [[nodiscard]] std::string render_collection_csv(const Collector& collector);
-
-/// Persist render_collection_csv() to `path` through `fs`, absorbing
-/// transient write faults up to `retry`.  Returns the retries absorbed;
-/// throws core::Error (IoError/TransientError) with a "collection telemetry"
-/// context frame when the budget is exhausted.
-int write_collection_csv(core::FileSystem& fs, const std::filesystem::path& path,
-                         const Collector& collector, core::IoRetryPolicy retry = {});
 
 }  // namespace zerodeg::monitoring

@@ -64,16 +64,6 @@ void ThermalNetwork::set_ambient_conductance(NodeId n, WattsPerKelvin g) {
     stiffest_rate_dirty_ = true;
 }
 
-WattsPerKelvin ThermalNetwork::ambient_conductance(NodeId n) const {
-    check_node(n);
-    return WattsPerKelvin{nodes_[n].to_ambient};
-}
-
-void ThermalNetwork::set_temperature(NodeId n, Celsius t) {
-    check_node(n);
-    nodes_[n].temperature = t.value();
-}
-
 Celsius ThermalNetwork::temperature(NodeId n) const {
     check_node(n);
     return Celsius{nodes_[n].temperature};
@@ -108,7 +98,7 @@ void ThermalNetwork::step(Duration dt, Celsius ambient) {
 
     // Explicit Euler is stable for dt < 2/rate; use a quarter of that.
     // The stiffest rate depends only on topology and conductances, so the
-    // scan is cached and set_power/set_temperature stay invalidation-free.
+    // scan is cached and set_power stays invalidation-free.
     const double rate = stiffest_rate();
     double remaining = static_cast<double>(dt.count());
     const double max_sub = rate > 0.0 ? 0.5 / rate : remaining;

@@ -43,13 +43,9 @@ public:
     void set_power(NodeId n, Watts p);
     [[nodiscard]] Watts power(NodeId n) const;
     void set_ambient_conductance(NodeId n, WattsPerKelvin g);
-    [[nodiscard]] WattsPerKelvin ambient_conductance(NodeId n) const;
-    void set_temperature(NodeId n, Celsius t);
 
     [[nodiscard]] Celsius temperature(NodeId n) const;
     [[nodiscard]] const std::string& name(NodeId n) const;
-    [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-    [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
 
     /// Advance the whole network by `dt` with ambient at `ambient`.
     void step(Duration dt, Celsius ambient);

@@ -31,8 +31,6 @@ public:
     explicit TracePlayer(std::vector<WeatherSample> samples);
 
     [[nodiscard]] WeatherSample at(TimePoint t) const;
-    [[nodiscard]] TimePoint begin_time() const { return samples_.front().time; }
-    [[nodiscard]] TimePoint end_time() const { return samples_.back().time; }
     [[nodiscard]] std::size_t size() const { return samples_.size(); }
 
 private:

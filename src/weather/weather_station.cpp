@@ -27,8 +27,6 @@ void WeatherStation::take_sample() {
     const WeatherSample s = observe_now();
     temperature_.append(s.time, s.temperature.value());
     humidity_.append(s.time, s.humidity.value());
-    wind_.append(s.time, s.wind.value());
-    irradiance_.append(s.time, s.irradiance.value());
 }
 
 }  // namespace zerodeg::weather

@@ -34,8 +34,6 @@ public:
 
     [[nodiscard]] const core::TimeSeries& temperature_series() const { return temperature_; }
     [[nodiscard]] const core::TimeSeries& humidity_series() const { return humidity_; }
-    [[nodiscard]] const core::TimeSeries& wind_series() const { return wind_; }
-    [[nodiscard]] const core::TimeSeries& irradiance_series() const { return irradiance_; }
 
     [[nodiscard]] WeatherSource& source() { return *source_; }
 
@@ -45,8 +43,6 @@ private:
     WeatherSample current_;
     core::TimeSeries temperature_{"outside_temp_degC"};
     core::TimeSeries humidity_{"outside_rh_pct"};
-    core::TimeSeries wind_{"wind_mps"};
-    core::TimeSeries irradiance_{"ghi_wm2"};
 
     void take_sample();
 };

@@ -74,8 +74,8 @@ void LoadJob::emit() const {
 
     emitted_ = std::move(emitted);
     frost_plan_ = FrostPlan{};
-    // Cached runs never compress again, so only the archive's size stays.
-    if (config_.cache_clean_runs) std::vector<std::uint8_t>().swap(archive_);
+    // Runs never compress again, so only the archive's size stays.
+    std::vector<std::uint8_t>().swap(archive_);
     stage_ = Stage::kEmitted;
 }
 
@@ -87,31 +87,17 @@ JobResult LoadJob::run(faults::MemoryFaultModel& memory, bool ecc) {
     result.raw_flips = outcome.raw_flips;
     result.corrected_flips = outcome.corrected;
 
-    if (outcome.corrupting_flips == 0) {
-        // Clean run: the pipeline is deterministic, so the output is
-        // bit-identical to the reference container, which a cached run
-        // need not even build.
-        if (!config_.cache_clean_runs) {
-            const std::vector<std::uint8_t> container =
-                frost_compress(archive_, planned_.compressor);
-            result.digest = md5(container);
-            result.md5_bytes = container.size();
-            result.hash_ok = result.digest == reference_digest();
-        }
-        return result;
-    }
+    // Clean run: the pipeline is deterministic, so the output is
+    // bit-identical to the reference container, which need not even be built.
+    if (outcome.corrupting_flips == 0) return result;
 
-    // A corrupting flip: run the real pipeline and damage the buffer the way
-    // a flipped DRAM bit does — one bit, somewhere in the data pages.  The
-    // pipeline is deterministic (the clean path above already banks on it),
-    // so under cache_clean_runs the pre-damage buffer is a copy of the
-    // reference container rather than a fresh compression pass, its hash
+    // A corrupting flip: damage the pipeline's buffer the way a flipped DRAM
+    // bit does — one bit, somewhere in the data pages.  By determinism the
+    // pre-damage buffer is a copy of the reference container, its hash
     // resumes from the reference's checkpoint below the first flipped byte,
     // and forensics decodes only the blocks that differ from the reference.
     const Emitted& reference = emitted_state();
-    std::vector<std::uint8_t> container = config_.cache_clean_runs
-                                              ? reference.container
-                                              : frost_compress(archive_, planned_.compressor);
+    std::vector<std::uint8_t> container = reference.container;
     std::size_t first_flipped = container.size();
     for (std::uint64_t i = 0; i < outcome.corrupting_flips; ++i) {
         // Flip within payload area (skip the 12-byte stream header so the
@@ -123,20 +109,14 @@ JobResult LoadJob::run(faults::MemoryFaultModel& memory, bool ecc) {
         first_flipped = std::min(first_flipped, byte_index);
     }
 
-    if (config_.cache_clean_runs) {
-        result.digest = reference.md5.resume(container, first_flipped);
-        result.md5_bytes = container.size() - reference.md5.resume_offset(first_flipped);
-    } else {
-        result.digest = md5(container);
-        result.md5_bytes = container.size();
-    }
+    result.digest = reference.md5.resume(container, first_flipped);
+    result.md5_bytes = container.size() - reference.md5.resume_offset(first_flipped);
     result.hash_ok = result.digest == reference.md5.digest();
     if (!result.hash_ok) {
         // "If the results differ, the packed tarball is stored" — and later
         // inspected with the recovery utility.
         const RecoveryReference recovery{reference.container, reference.directory};
-        result.forensics =
-            frost_recover(container, nullptr, config_.cache_clean_runs ? &recovery : nullptr);
+        result.forensics = frost_recover(container, nullptr, &recovery);
         result.blocks_decoded = result.forensics->blocks_decoded;
     }
     return result;

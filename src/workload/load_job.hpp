@@ -68,19 +68,13 @@ struct LoadJobConfig {
     [[nodiscard]] static bool valid_page_op_multiplier(double m) {
         return std::isfinite(m) && m >= 0.0 && m <= kMaxPageOpMultiplier;
     }
-    /// When true (default), runs reuse the cached deterministic container
-    /// instead of recompressing, and a corrupting run re-hashes only from
-    /// the first flipped byte's checkpoint and decodes only the blocks that
-    /// differ from the reference — output is bit-identical.  Disable in
-    /// tests that want every run end-to-end.
-    bool cache_clean_runs = true;
 };
 
 struct JobResult {
     bool hash_ok = true;
     /// The digest of this run's container, present only when one was
-    /// computed.  A cached clean run matches the reference by determinism
-    /// and hashes nothing.
+    /// computed.  A clean run matches the reference by determinism and
+    /// hashes nothing.
     std::optional<Md5Digest> digest;
     std::uint64_t page_ops = 0;
     std::uint64_t raw_flips = 0;
@@ -96,10 +90,13 @@ struct JobResult {
 /// The constructor only validates the config.  The first call that needs a
 /// size (run, the size accessors) plans: corpus -> archive -> frost_plan.
 /// The first corrupting run, or any accessor for bytes or digests, emits:
-/// the container, its MD5 checkpoints and its block directory; under
-/// cache_clean_runs it then frees the archive.  A clean cached run never
-/// emits.  The stages are filled in through `mutable` members behind const
-/// accessors, so a LoadJob belongs to one season's thread.
+/// the container, its MD5 checkpoints and its block directory; it then frees
+/// the archive.  A clean run never emits.  The pipeline is deterministic, so
+/// a run never compresses again: a clean run's container is the reference,
+/// and a corrupting run damages a copy of it, re-hashes only from the first
+/// flipped byte's checkpoint and decodes only the blocks that differ from
+/// the reference.  The stages are filled in through `mutable` members behind
+/// const accessors, so a LoadJob belongs to one season's thread.
 class LoadJob {
 public:
     /// Throws InvalidArgument for a config no stage could build.
@@ -165,8 +162,7 @@ private:
 
     mutable Stage stage_ = Stage::kConfigured;
     mutable Planned planned_;
-    /// Held from plan to emit; kept after it only when runs recompress.
-    mutable std::vector<std::uint8_t> archive_;
+    mutable std::vector<std::uint8_t> archive_;  ///< held from plan to emit
     mutable FrostPlan frost_plan_;  ///< held from plan to emit
     mutable Emitted emitted_;
 };

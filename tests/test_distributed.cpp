@@ -540,9 +540,7 @@ TEST(DistributedTorture, EveryCrashPointResumesByteIdentically) {
     const CensusPlan plan = synthetic_plan(4);
     const fs::path dir = scratch_dir("torture");
     std::ostringstream log;
-    DistributedTortureOptions opts;
-    opts.workers = 2;
-    const DistributedTortureReport report = distributed_torture(plan, dir, opts, log);
+    const DistributedTortureReport report = distributed_torture(plan, dir, log);
     EXPECT_TRUE(report.passed()) << log.str();
     EXPECT_EQ(report.mismatches, 0u) << log.str();
     // Lease chatter makes the exact counts interleaving-dependent; the

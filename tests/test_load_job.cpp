@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <ostream>
 #include <string_view>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -31,6 +33,62 @@ faults::MemoryFaultModel noisy_memory(std::uint64_t seed = 1) {
     p.flip_probability_per_page_op = 1.0 / 1000.0;  // flips every run
     return faults::MemoryFaultModel(p, core::RngStream(seed, "mem"));
 }
+
+/// The load cycle with none of LoadJob's shortcuts, kept as the reference
+/// it must match: rebuild the archive from the seed, compress it afresh on
+/// every run, flip bits drawn from its own `loadjob.flips` stream in the
+/// library's order, hash the whole container and recover without a
+/// reference container.
+class FullPipeline {
+public:
+    FullPipeline(const LoadJobConfig& config, std::uint64_t seed)
+        : archive_(write_archive(SyntheticCorpus(config.corpus, seed).files())),
+          flip_rng_(seed, "loadjob.flips") {
+        compressor_.block_size =
+            std::max<std::size_t>(1024, archive_.size() / config.target_blocks);
+        const std::vector<std::uint8_t> container = frost_compress(archive_, compressor_);
+        reference_ = md5(container);
+        container_bytes_ = container.size();
+        page_ops_per_run_ = static_cast<std::uint64_t>(
+            static_cast<double>((archive_.size() + container.size()) / 4096) *
+            config.page_op_multiplier);
+    }
+
+    [[nodiscard]] const Md5Digest& reference_digest() const { return reference_; }
+    [[nodiscard]] std::size_t container_bytes() const { return container_bytes_; }
+    [[nodiscard]] std::uint64_t page_ops_per_run() const { return page_ops_per_run_; }
+
+    JobResult run(faults::MemoryFaultModel& memory, bool ecc) {
+        JobResult result;
+        result.page_ops = page_ops_per_run_;
+        const faults::MemoryFaultOutcome outcome = memory.run(result.page_ops, ecc);
+        result.raw_flips = outcome.raw_flips;
+        result.corrected_flips = outcome.corrected;
+        std::vector<std::uint8_t> container = frost_compress(archive_, compressor_);
+        for (std::uint64_t i = 0; i < outcome.corrupting_flips; ++i) {
+            const auto byte_index = static_cast<std::size_t>(
+                flip_rng_.uniform_int(12, static_cast<std::int64_t>(container.size()) - 1));
+            const auto bit = static_cast<int>(flip_rng_.uniform_int(0, 7));
+            container[byte_index] ^= static_cast<std::uint8_t>(1u << bit);
+        }
+        result.digest = md5(container);
+        result.md5_bytes = container.size();
+        result.hash_ok = result.digest == reference_;
+        if (!result.hash_ok) {
+            result.forensics = frost_recover(container);
+            result.blocks_decoded = result.forensics->blocks_decoded;
+        }
+        return result;
+    }
+
+private:
+    std::vector<std::uint8_t> archive_;
+    core::RngStream flip_rng_;
+    CompressorConfig compressor_;
+    Md5Digest reference_{};
+    std::size_t container_bytes_ = 0;
+    std::uint64_t page_ops_per_run_ = 0;
+};
 
 TEST(LoadJob, ReferenceIsStableAcrossInstances) {
     const LoadJob a(small_config(), 2010);
@@ -59,17 +117,18 @@ TEST(LoadJob, CleanRunMatchesReference) {
     EXPECT_EQ(md5(job.reference_container()), job.reference_digest());
 }
 
-TEST(LoadJob, UncachedCleanRunAlsoMatches) {
-    // With caching off the whole pipeline really runs, and determinism makes
-    // the digest identical.
-    LoadJobConfig cfg = small_config();
-    cfg.cache_clean_runs = false;
-    LoadJob job(cfg, 2010);
+TEST(LoadJob, CleanRunMatchesTheFullPipeline) {
+    // The full pipeline really recompresses and hashes a clean run, and
+    // determinism makes its digest LoadJob's reference.
+    const LoadJob job(small_config(), 2010);
+    FullPipeline full(small_config(), 2010);
     auto mem = quiet_memory();
-    const JobResult r = job.run(mem, false);
+    const JobResult r = full.run(mem, false);
     EXPECT_TRUE(r.hash_ok);
     ASSERT_TRUE(r.digest.has_value());
     EXPECT_EQ(*r.digest, job.reference_digest());
+    EXPECT_EQ(full.container_bytes(), job.container_bytes());
+    EXPECT_EQ(full.page_ops_per_run(), job.page_ops_per_run());
 }
 
 TEST(LoadJob, CorruptingFlipIsDetectedAndAnalyzed) {
@@ -159,20 +218,16 @@ TEST(LoadJob, ConstructionBuildsNothing) {
 }
 
 TEST(LoadJob, PlannedSizesAreTheEmittedContainers) {
-    for (const bool cached : {true, false}) {
-        LoadJobConfig cfg = small_config();
-        cfg.cache_clean_runs = cached;
-        const LoadJob job(cfg, 2010);
-        const std::size_t container_bytes = job.container_bytes();
-        const std::size_t block_count = job.block_count();
-        const std::size_t archive_bytes = job.archive_bytes();
-        EXPECT_EQ(job.reference_container().size(), container_bytes);
-        EXPECT_EQ(frost_block_directory(job.reference_container()).size(), block_count);
-        EXPECT_EQ(job.block_count(), block_count);
-        EXPECT_EQ(job.archive_bytes(), archive_bytes);
-        EXPECT_EQ(archive_bytes,
-                  write_archive(SyntheticCorpus(cfg.corpus, 2010).files()).size());
-    }
+    const LoadJob job(small_config(), 2010);
+    const std::size_t container_bytes = job.container_bytes();
+    const std::size_t block_count = job.block_count();
+    const std::size_t archive_bytes = job.archive_bytes();
+    EXPECT_EQ(job.reference_container().size(), container_bytes);
+    EXPECT_EQ(frost_block_directory(job.reference_container()).size(), block_count);
+    EXPECT_EQ(job.block_count(), block_count);
+    EXPECT_EQ(job.archive_bytes(), archive_bytes);
+    EXPECT_EQ(archive_bytes,
+              write_archive(SyntheticCorpus(small_config().corpus, 2010).files()).size());
 }
 
 TEST(LoadJob, CleanRunsPlanButNeverEmit) {
@@ -282,12 +337,12 @@ TEST(Md5Checkpoints, RealContainer) {
     expect_resume_matches(container, {container.size() - 1});
 }
 
-// --- cache_clean_runs on and off agree --------------------------------------
+// --- LoadJob and the full pipeline agree -----------------------------------
 
 void expect_same_result(const JobResult& cached, const JobResult& full,
                         const Md5Digest& reference) {
     EXPECT_EQ(cached.hash_ok, full.hash_ok);
-    // The full pipeline always hashes; a cached clean run skips the hash
+    // The full pipeline always hashes; LoadJob's clean run skips the hash
     // that would have given the reference digest.
     ASSERT_TRUE(full.digest.has_value());
     EXPECT_EQ(cached.digest.value_or(reference), *full.digest);
@@ -306,14 +361,12 @@ void expect_same_result(const JobResult& cached, const JobResult& full,
 }
 
 TEST(LoadJob, CachedRunsMatchTheFullPipelineForTheSameFlipStream) {
-    // Same seed, same memory stream: the cached job (diff-aware forensics,
-    // resumed MD5) and the full pipeline see the same flips.  Two regimes:
-    // mostly single flips, and many flips per run.
+    // Same seed, same memory stream: the job (diff-aware forensics, resumed
+    // MD5) and the full pipeline see the same flips.  Two regimes: mostly
+    // single flips, and many flips per run.
     for (const double p : {1.0 / 20000.0, 1.0 / 1000.0}) {
-        LoadJobConfig full_cfg = small_config();
-        full_cfg.cache_clean_runs = false;
         LoadJob cached(small_config(), 2010);
-        LoadJob full(full_cfg, 2010);
+        FullPipeline full(small_config(), 2010);
         faults::MemoryFaultParams params;
         params.flip_probability_per_page_op = p;
         faults::MemoryFaultModel mem_a(params, core::RngStream(3, "mem"));
@@ -339,6 +392,7 @@ TEST(LoadJob, CachedRunsMatchTheFullPipelineForTheSameFlipStream) {
             if (!a.hash_ok) ++wrong;
         }
         EXPECT_GT(wrong, 0);
+        EXPECT_EQ(cached.reference_digest(), full.reference_digest());
     }
 }
 

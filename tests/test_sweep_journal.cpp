@@ -313,6 +313,18 @@ TEST(ConfigFingerprint, SeesCampaignDefiningKnobs) {
     EXPECT_NE(fingerprint(base), fingerprint(other));
 }
 
+// The journal key and the campaign HELLO carry these fingerprints, so a
+// change to either literal orphans every existing checkpoint.  A config
+// field that is added, removed or re-mixed must leave them alone unless
+// the campaign it describes really changed.
+TEST(ConfigFingerprint, DefaultSeasonsArePinned) {
+    EXPECT_EQ(fingerprint(ExperimentConfig{}), 0x74df1c0899341d14ULL);
+
+    ExperimentConfig traffic;
+    traffic.workload = WorkloadKind::kTraffic;
+    EXPECT_EQ(fingerprint(traffic), 0x67a0fde7f23cb2a1ULL);
+}
+
 TEST(ConfigValidate, NamesTheOffendingKnob) {
     const auto message_of = [](ExperimentConfig cfg) {
         try {

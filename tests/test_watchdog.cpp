@@ -8,8 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "core/error.hpp"
@@ -173,6 +175,52 @@ TEST(ParallelCensusWatchdog, HungCellIsCancelledRetriedAndReported) {
         cfg.master_seed = plan.base_seed + i;
         EXPECT_EQ(result.censuses[i].load_runs, synthetic_census(cfg).load_runs);
     }
+}
+
+// The same property under a saturated pool: every cell's first attempt
+// hangs on a FaultyFs stall (not a polling loop in the cell), so the
+// watchdog must cancel it inside the io seam.  Apart from the harness
+// section that names the hung nodes, the census must equal an undisturbed
+// run's.
+TEST(ParallelCensusWatchdog, StalledFirstAttemptsLeaveTheCensusUnchanged) {
+    constexpr std::size_t kJobs = 8;
+    CensusPlan plan;
+    plan.base_seed = 20100219;
+    plan.seeds = 3;
+    plan.run_cell = synthetic_census;
+    const std::string want = render_census_table(ParallelCensus(plan, kJobs).run(), plan.base_seed);
+
+    // Every write through this FaultyFs stalls until cancelled (the poll cap
+    // is a parachute, not the expected exit).
+    core::FaultPlan stall_plan;
+    stall_plan.stall_rate = 1.0;
+    stall_plan.max_stall_polls = 60000;
+    auto stalling = std::make_shared<core::FaultyFs>(stall_plan);
+    const std::filesystem::path heartbeat_dir =
+        std::filesystem::path(::testing::TempDir()) / "watchdog_heartbeats";
+    std::filesystem::create_directories(heartbeat_dir);
+    auto first_attempt_done = std::make_shared<std::map<std::uint64_t, std::atomic<bool>>>();
+    for (std::size_t i = 0; i < plan.seeds; ++i) (*first_attempt_done)[plan.base_seed + i] = false;
+
+    CensusPlan hung = plan;
+    hung.cell_attempts = 3;
+    hung.cell_deadline_ms = 150;
+    hung.run_cell = [stalling, first_attempt_done, heartbeat_dir](const ExperimentConfig& cfg) {
+        if (!first_attempt_done->at(cfg.master_seed).exchange(true)) {
+            // First attempt: the heartbeat write hangs on the injected stall
+            // until the watchdog cancels this cell (TransientError).
+            stalling->write_file(
+                heartbeat_dir / ("cell_" + std::to_string(cfg.master_seed) + ".alive"), "alive\n");
+        }
+        return synthetic_census(cfg);
+    };
+
+    CensusResult result = ParallelCensus(hung, kJobs).run();
+    EXPECT_GE(result.harness.hung_cells, plan.seeds);
+    EXPECT_NE(render_census_table(result, plan.base_seed).find("harness hung nodes"),
+              std::string::npos);
+    result.harness = CensusHarnessStats{};
+    EXPECT_EQ(render_census_table(result, plan.base_seed), want);
 }
 
 }  // namespace

@@ -393,10 +393,8 @@ int cmd_census(const FlagMap& flags) {
         // Crash the campaign at every journal write point, resume each
         // time, and require the resumed tables byte-identical to an
         // uninterrupted run.  Exit 0 only when every crash point passes.
-        experiment::TortureOptions options;
-        options.jobs = jobs;
-        const experiment::TortureReport report = experiment::torture_campaign(
-            plan, jobs, flags.at("checkpoint"), options, std::cerr);
+        const experiment::TortureReport report =
+            experiment::torture_campaign(plan, jobs, flags.at("checkpoint"), std::cerr);
         std::cout << "torture: " << report.io_ops << " write points, " << report.crash_points
                   << " crash points, " << report.resumes << " resumes ("
                   << report.tail_repairs << " torn-tail repairs, " << report.journal_resets
