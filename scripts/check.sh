@@ -23,7 +23,10 @@
 #      cross-process smokes: coordinator + 2 workers over a unix socket with
 #      a seeded FaultyTransport, merged journal byte-compared lossless/lossy,
 #      and a lease-mode campaign where one worker is SIGKILLed permanently
-#      and the survivor must absorb its lease byte-identically
+#      and the survivor must absorb its lease byte-identically; and a
+#      census at the held-out base seed 20110219 whose journal must be
+#      byte-identical at --jobs 1 and --jobs 4 (archive verification is
+#      settled in batches after the event loop)
 #   5. a compose smoke: sanitizers + -Werror configured together must build
 #      (sanitizer instrumentation must not be broken by the warning gate)
 #   6. clang-tidy over the exported compile database, when clang-tidy exists
@@ -119,6 +122,16 @@ run "$zd" sweep --worker --socket "$smoke/killed/s.sock" \
 wait "$coord"
 run cmp "$smoke/lossless/merged.journal" "$smoke/killed/merged.journal"
 echo "distributed smoke: campaign survived a SIGKILLed worker byte-identically" >&2
+
+# Held-out census: archive seasons settle their corrupting runs in batches
+# (four-lane MD5, touched-block forensics) after the event loop.  At a base
+# seed the golden pins do not cover, the journal must not depend on --jobs.
+for j in 1 4; do
+    run "$zd" census --base-seed 20110219 --seeds 4 --jobs "$j" \
+        --checkpoint "$smoke/held_out_j$j.journal" >"$smoke/held_out_j$j.log"
+done
+run cmp "$smoke/held_out_j1.journal" "$smoke/held_out_j4.journal"
+echo "held-out census: --jobs 1 and --jobs 4 journals byte-identical" >&2
 
 echo "=== [5/7] compose smoke: sanitize + werror together ===" >&2
 run cmake -B build-asan-werror -S . -DZERODEG_SANITIZE=address,undefined,float-cast-overflow \

@@ -23,9 +23,9 @@ std::size_t Md5Checkpoints::resume_offset(std::size_t first_changed) const {
 
 Md5Digest Md5Checkpoints::resume(std::span<const std::uint8_t> data,
                                  std::size_t first_changed) const {
-    const std::size_t from = resume_offset(std::min(first_changed, data.size()));
-    Md5 h = states_[from / kStride];
-    h.update(data.subspan(from));
+    first_changed = std::min(first_changed, data.size());
+    Md5 h = resume_state(first_changed);
+    h.update(data.subspan(resume_offset(first_changed)));
     return h.finalize();
 }
 
@@ -79,46 +79,92 @@ void LoadJob::emit() const {
     stage_ = Stage::kEmitted;
 }
 
-JobResult LoadJob::run(faults::MemoryFaultModel& memory, bool ecc) {
-    JobResult result;
-    result.page_ops = page_ops_per_run();
+JobDraw LoadJob::draw(faults::MemoryFaultModel& memory, bool ecc) {
+    JobDraw draw;
+    draw.page_ops = page_ops_per_run();
 
-    const faults::MemoryFaultOutcome outcome = memory.run(result.page_ops, ecc);
-    result.raw_flips = outcome.raw_flips;
-    result.corrected_flips = outcome.corrected;
+    const faults::MemoryFaultOutcome outcome = memory.run(draw.page_ops, ecc);
+    draw.raw_flips = outcome.raw_flips;
+    draw.corrected_flips = outcome.corrected;
 
     // Clean run: the pipeline is deterministic, so the output is
     // bit-identical to the reference container, which need not even be built.
-    if (outcome.corrupting_flips == 0) return result;
+    if (outcome.corrupting_flips == 0) return draw;
 
-    // A corrupting flip: damage the pipeline's buffer the way a flipped DRAM
-    // bit does — one bit, somewhere in the data pages.  By determinism the
-    // pre-damage buffer is a copy of the reference container, its hash
-    // resumes from the reference's checkpoint below the first flipped byte,
-    // and forensics decodes only the blocks that differ from the reference.
-    const Emitted& reference = emitted_state();
-    std::vector<std::uint8_t> container = reference.container;
-    std::size_t first_flipped = container.size();
+    // The first corrupting run emits, so the 2 MB archive the emit reads is
+    // freed now rather than held until the first settle.
+    const std::size_t size = emitted_state().container.size();
+
+    // A corrupting flip damages the pipeline's buffer the way a flipped DRAM
+    // bit does: one bit, somewhere in the data pages.  It lands within the
+    // payload area, past the 12-byte stream header, so the damage is in a
+    // block, as the paper observed.
+    RunDamage& damage = draw.damage.emplace();
+    damage.first_flipped = size;
     for (std::uint64_t i = 0; i < outcome.corrupting_flips; ++i) {
-        // Flip within payload area (skip the 12-byte stream header so the
-        // damage lands in a block, as the paper observed).
         const auto byte_index = static_cast<std::size_t>(
-            flip_rng_.uniform_int(12, static_cast<std::int64_t>(container.size()) - 1));
+            flip_rng_.uniform_int(12, static_cast<std::int64_t>(size) - 1));
         const auto bit = static_cast<int>(flip_rng_.uniform_int(0, 7));
-        container[byte_index] ^= static_cast<std::uint8_t>(1u << bit);
-        first_flipped = std::min(first_flipped, byte_index);
+        damage.flips.push_back({byte_index, static_cast<std::uint8_t>(1u << bit)});
+        damage.first_flipped = std::min(damage.first_flipped, byte_index);
     }
+    return draw;
+}
 
-    result.digest = reference.md5.resume(container, first_flipped);
-    result.md5_bytes = container.size() - reference.md5.resume_offset(first_flipped);
-    result.hash_ok = result.digest == reference.md5.digest();
-    if (!result.hash_ok) {
-        // "If the results differ, the packed tarball is stored" — and later
-        // inspected with the recovery utility.
-        const RecoveryReference recovery{reference.container, reference.directory};
-        result.forensics = frost_recover(container, nullptr, &recovery);
-        result.blocks_decoded = result.forensics->blocks_decoded;
+std::vector<JobVerdict> LoadJob::settle(std::span<const RunDamage> runs) const {
+    const Emitted& reference = emitted_state();
+    const std::span<const std::uint8_t> container = reference.container;
+
+    // Each run's net damage, and the same patches relative to where its
+    // hash resumes.
+    std::vector<std::vector<BytePatch>> damage;
+    std::vector<std::vector<BytePatch>> suffix_patches;
+    std::vector<Md5Job> jobs;
+    damage.reserve(runs.size());
+    suffix_patches.reserve(runs.size());
+    jobs.reserve(runs.size());
+    for (const RunDamage& run : runs) {
+        const std::size_t from = reference.md5.resume_offset(run.first_flipped);
+        std::vector<BytePatch>& net = damage.emplace_back(net_patches(run.flips));
+        std::vector<BytePatch>& shifted = suffix_patches.emplace_back(net);
+        for (BytePatch& p : shifted) p.offset -= from;
+        jobs.push_back({reference.md5.resume_state(run.first_flipped), container.subspan(from),
+                        shifted});
     }
+    const std::vector<Md5Digest> digests = md5_many(jobs);
+
+    std::vector<JobVerdict> verdicts(runs.size());
+    const RecoveryReference recovery{reference.container, reference.directory};
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        JobVerdict& v = verdicts[i];
+        v.digest = digests[i];
+        v.md5_bytes = jobs[i].data.size();
+        v.hash_ok = v.digest == reference.md5.digest();
+        if (!v.hash_ok) {
+            // "If the results differ, the packed tarball is stored" — and
+            // later inspected with the recovery utility.
+            v.forensics = frost_recover_patched(recovery, damage[i]);
+            v.blocks_decoded = v.forensics->blocks_decoded;
+        }
+    }
+    return verdicts;
+}
+
+JobResult LoadJob::run(faults::MemoryFaultModel& memory, bool ecc) {
+    const JobDraw drawn = draw(memory, ecc);
+    JobResult result;
+    result.page_ops = drawn.page_ops;
+    result.raw_flips = drawn.raw_flips;
+    result.corrected_flips = drawn.corrected_flips;
+    if (!drawn.damage) return result;
+
+    const std::vector<JobVerdict> verdicts = settle(std::span(&*drawn.damage, 1));
+    const JobVerdict& verdict = verdicts.front();
+    result.hash_ok = verdict.hash_ok;
+    result.digest = verdict.digest;
+    result.blocks_decoded = verdict.blocks_decoded;
+    result.md5_bytes = verdict.md5_bytes;
+    result.forensics = verdict.forensics;
     return result;
 }
 

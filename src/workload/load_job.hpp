@@ -7,6 +7,12 @@
 // corrupting bit flip lands in the compressed container exactly as a flipped
 // DRAM bit in a page of the tar/bzip2 buffers landed in the paper's
 // tarballs, and the same recovery forensics then applies.
+//
+// A cycle runs in two parts.  draw() is what the event loop needs: the
+// memory-model draw and, for a corrupting run, where its flips land.
+// settle() verifies corrupting runs later, any number at once: it hashes
+// each damaged container and runs forensics on a mismatch.  No event and no
+// later draw reads a verdict, so when it is computed changes no byte.
 #pragma once
 
 #include <cmath>
@@ -41,6 +47,12 @@ public:
     /// starts hashing.
     [[nodiscard]] std::size_t resume_offset(std::size_t first_changed) const;
 
+    /// The hash state at resume_offset(first_changed), to be fed the bytes
+    /// from there on.
+    [[nodiscard]] const Md5& resume_state(std::size_t first_changed) const {
+        return states_[resume_offset(first_changed) / kStride];
+    }
+
     /// MD5 of `data`, whose bytes before `first_changed` equal the
     /// reference's.  Its length may differ from the reference's.
     [[nodiscard]] Md5Digest resume(std::span<const std::uint8_t> data,
@@ -70,6 +82,33 @@ struct LoadJobConfig {
     }
 };
 
+/// Where a corrupting run's flips land in the container, drawn in the event
+/// loop and verified later by LoadJob::settle.
+struct RunDamage {
+    std::vector<BytePatch> flips;  ///< one bit each, in draw order
+    /// The lowest flipped offset, also when flips cancel: the hash resumes
+    /// from the checkpoint below it, and md5_bytes counts from there.
+    std::size_t first_flipped = 0;
+};
+
+/// What one cycle draws in the event loop.
+struct JobDraw {
+    std::uint64_t page_ops = 0;
+    std::uint64_t raw_flips = 0;
+    std::uint64_t corrected_flips = 0;
+    std::optional<RunDamage> damage;  ///< set for a corrupting run
+};
+
+/// What verifying one corrupting run finds.
+struct JobVerdict {
+    bool hash_ok = true;
+    Md5Digest digest{};
+    std::uint64_t blocks_decoded = 0;
+    std::uint64_t md5_bytes = 0;
+    std::optional<RecoveryReport> forensics;  ///< set when the hash mismatched
+};
+
+/// A whole cycle: its draw and, for a corrupting run, its verdict.
 struct JobResult {
     bool hash_ok = true;
     /// The digest of this run's container, present only when one was
@@ -88,21 +127,31 @@ struct JobResult {
 
 /// One load cycle's reference, built lazily in two stages on first use.
 /// The constructor only validates the config.  The first call that needs a
-/// size (run, the size accessors) plans: corpus -> archive -> frost_plan.
-/// The first corrupting run, or any accessor for bytes or digests, emits:
+/// size (draw, the size accessors) plans: corpus -> archive -> frost_plan.
+/// The first corrupting draw, or any accessor for bytes or digests, emits:
 /// the container, its MD5 checkpoints and its block directory; it then frees
-/// the archive.  A clean run never emits.  The pipeline is deterministic, so
-/// a run never compresses again: a clean run's container is the reference,
-/// and a corrupting run damages a copy of it, re-hashes only from the first
-/// flipped byte's checkpoint and decodes only the blocks that differ from
-/// the reference.  The stages are filled in through `mutable` members behind
+/// the archive.  A clean run never emits.  The pipeline is deterministic, so a run never
+/// compresses again: a clean run's container is the reference, and a
+/// corrupting run's is the reference with its flips XORed in.  Settling
+/// reads it that way, with no copy: the hash resumes from the checkpoint
+/// below the first flipped byte, and forensics decodes only the blocks a
+/// flip touched.  The stages are filled in through `mutable` members behind
 /// const accessors, so a LoadJob belongs to one season's thread.
 class LoadJob {
 public:
     /// Throws InvalidArgument for a config no stage could build.
     LoadJob(LoadJobConfig config, std::uint64_t seed);
 
-    /// Execute one cycle on a host with or without ECC memory.
+    /// Draw one cycle on a host with or without ECC memory: the memory
+    /// model's draw and, for a corrupting run, its flips from the job's
+    /// `loadjob.flips` stream.
+    [[nodiscard]] JobDraw draw(faults::MemoryFaultModel& memory, bool ecc);
+
+    /// The verdict of each corrupting run, in order.  Two or more runs hash
+    /// side by side (md5_many).
+    [[nodiscard]] std::vector<JobVerdict> settle(std::span<const RunDamage> runs) const;
+
+    /// One whole cycle: draw, then settle it alone if it corrupted.
     [[nodiscard]] JobResult run(faults::MemoryFaultModel& memory, bool ecc);
 
     /// Which stages have been built; neither call builds one.

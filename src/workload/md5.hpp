@@ -11,10 +11,15 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
+
+#include "workload/byte_patch.hpp"
 
 namespace zerodeg::workload {
 
 using Md5Digest = std::array<std::uint8_t, 16>;
+
+struct Md5Job;
 
 class Md5 {
 public:
@@ -31,6 +36,8 @@ public:
     void reset();
 
 private:
+    friend std::vector<Md5Digest> md5_many(std::span<const Md5Job> jobs);
+
     std::array<std::uint32_t, 4> state_;
     std::uint64_t total_bytes_ = 0;
     std::array<std::uint8_t, 64> buffer_;
@@ -39,6 +46,24 @@ private:
 
     void process_block(const std::uint8_t* block);
 };
+
+/// One message for md5_many: `start` fed the bytes of `data` with
+/// `patches` XORed in.  `start` is a fresh Md5 or a copy of one part fed
+/// (not finalized); `patches` lie inside `data`, in strictly increasing
+/// offset order (net_patches gives that form).
+struct Md5Job {
+    Md5 start;
+    std::span<const std::uint8_t> data;
+    std::span<const BytePatch> patches;
+};
+
+/// The digest of each job, in order, bitwise equal to finishing each on its
+/// own.  Two or more jobs are hashed side by side in four SSE2 lanes, the
+/// multi-buffer technique of isa-l_crypto's md5_mb: longest job first, and a
+/// lane takes the next job as soon as its own runs out of whole blocks.  The
+/// last job left alone, a lone job, and every job's final partial block and
+/// padding run on the scalar compression function.
+[[nodiscard]] std::vector<Md5Digest> md5_many(std::span<const Md5Job> jobs);
 
 /// One-shot convenience.
 [[nodiscard]] Md5Digest md5(std::span<const std::uint8_t> data);

@@ -1,6 +1,8 @@
 #include "workload/recover.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "core/error.hpp"
 
@@ -84,6 +86,54 @@ RecoveryReport frost_recover(std::span<const std::uint8_t> container,
         } catch (const core::CorruptData&) {
             report.corrupt_blocks.push_back(i);
             report.lost_bytes += dir[i].orig_size;
+        }
+    }
+    return report;
+}
+
+RecoveryReport frost_recover_patched(const RecoveryReference& reference,
+                                     std::span<const BytePatch> patches) {
+    const std::span<const BlockInfo> dir = reference.directory;
+    const std::span<const std::uint8_t> container = reference.container;
+    const auto in_payload = [&dir](const BytePatch& p) {
+        const auto after = std::upper_bound(
+            dir.begin(), dir.end(), p.offset,
+            [](std::size_t off, const BlockInfo& info) { return off < info.offset; });
+        if (after == dir.begin()) return false;
+        const BlockInfo& info = *std::prev(after);
+        return p.offset >= info.offset + 17 && p.offset < info.offset + 17 + info.comp_size;
+    };
+    if (!std::all_of(patches.begin(), patches.end(), in_payload)) {
+        std::vector<std::uint8_t> damaged(container.begin(), container.end());
+        apply_patches(damaged, 0, patches);
+        return frost_recover(damaged, nullptr, &reference);
+    }
+
+    // Headers intact: the damaged container's directory is the reference's.
+    RecoveryReport report;
+    report.total_blocks = dir.size();
+    std::vector<std::uint8_t> block;
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < dir.size(); ++i) {
+        const BlockInfo& info = dir[i];
+        const std::size_t end = info.offset + 17 + std::size_t{info.comp_size};
+        if (next == patches.size() || patches[next].offset >= end) {
+            report.salvaged_bytes += info.orig_size;
+            continue;
+        }
+        block.assign(container.begin() + static_cast<std::ptrdiff_t>(info.offset),
+                     container.begin() + static_cast<std::ptrdiff_t>(end));
+        for (; next < patches.size() && patches[next].offset < end; ++next) {
+            block[patches[next].offset - info.offset] ^= patches[next].mask;
+        }
+        BlockInfo local = info;
+        local.offset = 0;
+        ++report.blocks_decoded;
+        try {
+            report.salvaged_bytes += frost_decode_block(block, local).size();
+        } catch (const core::CorruptData&) {
+            report.corrupt_blocks.push_back(i);
+            report.lost_bytes += info.orig_size;
         }
     }
     return report;

@@ -11,13 +11,16 @@
 // decodes only the blocks whose bytes differ from it: a block whose header
 // and payload byte-match the reference decodes exactly as the reference
 // block does, so it is intact by determinism.  Foreign or structurally
-// damaged input still takes the full decode of every block.
+// damaged input still takes the full decode of every block.  When the
+// damage is known as byte patches, frost_recover_patched finds the touched
+// blocks from the patches alone and never builds the damaged container.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "workload/byte_patch.hpp"
 #include "workload/compressor.hpp"
 
 namespace zerodeg::workload {
@@ -54,5 +57,14 @@ struct RecoveryReference {
 [[nodiscard]] RecoveryReport frost_recover(std::span<const std::uint8_t> container,
                                            std::vector<std::uint8_t>* salvaged = nullptr,
                                            const RecoveryReference* reference = nullptr);
+
+/// frost_recover(damaged, nullptr, &reference) for `damaged` = the
+/// reference container with `patches` (net_patches form, inside the
+/// container) XORed in, read without building it.  Blocks with a patch in
+/// their payload are decoded from a copy of their own bytes; the rest are
+/// intact by determinism.  A patch in a header can change the directory
+/// walk, so one falls back to building `damaged` and frost_recover.
+[[nodiscard]] RecoveryReport frost_recover_patched(const RecoveryReference& reference,
+                                                   std::span<const BytePatch> patches);
 
 }  // namespace zerodeg::workload

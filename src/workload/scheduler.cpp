@@ -61,27 +61,42 @@ void LoadScheduler::run_cycle(int host_id) {
         ++st.skipped;
         return;
     }
-    const JobResult result = job_.run(h.memory, h.binding.ecc);
+    JobDraw draw = job_.draw(h.memory, h.binding.ecc);
     ++st.runs;
-    st.page_ops += result.page_ops;
-    st.ecc_corrected += result.corrected_flips;
-    st.blocks_decoded += result.blocks_decoded;
-    st.md5_bytes += result.md5_bytes;
-    if (!result.hash_ok) {
-        ++st.wrong_hashes;
-        WrongHashIncident inc;
-        inc.time = sim_.now();
-        inc.host_id = host_id;
-        if (result.forensics) {
-            inc.corrupt_blocks = result.forensics->corrupt_blocks.size();
-            inc.total_blocks = result.forensics->total_blocks;
-            inc.recovered = result.forensics->lost_bytes < result.forensics->salvaged_bytes;
-        }
-        incidents_.push_back(inc);
+    st.page_ops += draw.page_ops;
+    st.ecc_corrected += draw.corrected_flips;
+    if (draw.damage) {
+        pending_.push_back({sim_.now(), host_id});
+        pending_damage_.push_back(std::move(*draw.damage));
     }
 }
 
+void LoadScheduler::settle() const {
+    if (pending_.empty()) return;
+    const std::vector<JobVerdict> verdicts = job_.settle(pending_damage_);
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
+        const JobVerdict& v = verdicts[i];
+        HostLoadStats& st = stats_.at(pending_[i].host_id);
+        st.blocks_decoded += v.blocks_decoded;
+        st.md5_bytes += v.md5_bytes;
+        if (v.hash_ok) continue;
+        ++st.wrong_hashes;
+        WrongHashIncident inc;
+        inc.time = pending_[i].time;
+        inc.host_id = pending_[i].host_id;
+        if (v.forensics) {
+            inc.corrupt_blocks = v.forensics->corrupt_blocks.size();
+            inc.total_blocks = v.forensics->total_blocks;
+            inc.recovered = v.forensics->lost_bytes < v.forensics->salvaged_bytes;
+        }
+        incidents_.push_back(inc);
+    }
+    pending_.clear();
+    pending_damage_.clear();
+}
+
 const HostLoadStats& LoadScheduler::stats(int host_id) const {
+    settle();
     const auto it = stats_.find(host_id);
     if (it == stats_.end()) throw core::InvalidArgument("LoadScheduler::stats: unknown host");
     return it->second;
@@ -94,6 +109,7 @@ std::uint64_t LoadScheduler::total_runs() const {
 }
 
 std::uint64_t LoadScheduler::total_wrong_hashes() const {
+    settle();
     std::uint64_t n = 0;
     for (const auto& [id, st] : stats_) n += st.wrong_hashes;
     return n;
@@ -106,12 +122,14 @@ std::uint64_t LoadScheduler::total_page_ops() const {
 }
 
 std::uint64_t LoadScheduler::total_blocks_decoded() const {
+    settle();
     std::uint64_t n = 0;
     for (const auto& [id, st] : stats_) n += st.blocks_decoded;
     return n;
 }
 
 std::uint64_t LoadScheduler::total_md5_bytes() const {
+    settle();
     std::uint64_t n = 0;
     for (const auto& [id, st] : stats_) n += st.md5_bytes;
     return n;

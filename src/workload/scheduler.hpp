@@ -3,6 +3,15 @@
 // "Each host executes its synthetic load every 10 minutes.  In order to
 // avoid synchronization, some fuzz is added to the starting phase: each host
 // sleeps for 0 to 119 seconds before commencing the archival process."
+//
+// A cycle draws in the event loop (LoadJob::draw) and counts its runs, page
+// ops and ECC corrections at once.  A corrupting run is kept as a pending
+// run; the first accessor that reads an outcome (stats, all_stats,
+// incidents, total_wrong_hashes, total_blocks_decoded, total_md5_bytes)
+// settles every pending run, in run order, in one LoadJob::settle.  An
+// incident keeps the sim time and host of its run, so the outcomes do not
+// depend on when or how often they are read.  The const accessors settle
+// through `mutable` state, so a scheduler belongs to one season's thread.
 #pragma once
 
 #include <functional>
@@ -24,6 +33,8 @@ struct WrongHashIncident {
     std::size_t corrupt_blocks = 0;
     std::size_t total_blocks = 0;
     bool recovered = false;  ///< all other blocks salvaged
+
+    bool operator==(const WrongHashIncident&) const = default;
 };
 
 struct HostLoadStats {
@@ -34,6 +45,8 @@ struct HostLoadStats {
     std::uint64_t page_ops = 0;
     std::uint64_t blocks_decoded = 0;  ///< forensics work (JobResult::blocks_decoded)
     std::uint64_t md5_bytes = 0;       ///< hashing work (JobResult::md5_bytes)
+
+    bool operator==(const HostLoadStats&) const = default;
 };
 
 class LoadScheduler {
@@ -62,8 +75,14 @@ public:
 
     [[nodiscard]] const LoadJob& job() const { return job_; }
     [[nodiscard]] const HostLoadStats& stats(int host_id) const;
-    [[nodiscard]] const std::map<int, HostLoadStats>& all_stats() const { return stats_; }
-    [[nodiscard]] const std::vector<WrongHashIncident>& incidents() const { return incidents_; }
+    [[nodiscard]] const std::map<int, HostLoadStats>& all_stats() const {
+        settle();
+        return stats_;
+    }
+    [[nodiscard]] const std::vector<WrongHashIncident>& incidents() const {
+        settle();
+        return incidents_;
+    }
 
     [[nodiscard]] std::uint64_t total_runs() const;
     [[nodiscard]] std::uint64_t total_wrong_hashes() const;
@@ -80,16 +99,26 @@ private:
         bool removed = false;
     };
 
+    /// Where and when a corrupting run that waits for its verdict ran.
+    struct PendingRun {
+        core::TimePoint time;
+        int host_id = 0;
+    };
+
     core::Simulator& sim_;
     LoadJob job_;
     faults::MemoryFaultParams mem_params_;
     std::uint64_t master_seed_;
     core::Duration cycle_;
     std::map<int, HostState> hosts_;
-    std::map<int, HostLoadStats> stats_;
-    std::vector<WrongHashIncident> incidents_;
+    mutable std::map<int, HostLoadStats> stats_;
+    mutable std::vector<WrongHashIncident> incidents_;
+    mutable std::vector<PendingRun> pending_;
+    mutable std::vector<RunDamage> pending_damage_;  ///< pending_[i]'s flips
 
     void run_cycle(int host_id);
+    /// Verify every pending run and book its outcome.
+    void settle() const;
 };
 
 }  // namespace zerodeg::workload

@@ -145,6 +145,32 @@ TEST(CliSmoke, ResumeFromMidFileCorruptionFails) {
     EXPECT_NE(r.output.find("checksum"), std::string::npos) << r.output;
 }
 
+/// --base-seed reaches the journal key: a journal written at one base seed
+/// is stale at another (exit 1), and naming the default base seed writes
+/// the bytes that leaving the flag out does.
+TEST(CliSmoke, CensusJournalAtAnotherBaseSeedIsStale) {
+    const fs::path held_out = temp_file("held_out.journal");
+    const std::string census = "census --seeds 2 --synthetic --checkpoint ";
+    const auto first = run_cli_capture(census + held_out.string() + " --base-seed 20110219");
+    ASSERT_EQ(first.exit_code, 0) << first.output;
+    EXPECT_NE(first.output.find("seed 20110220: "), std::string::npos) << first.output;
+    EXPECT_NE(slurp(held_out).find("base_seed 20110219\n"), std::string::npos);
+
+    const auto stale = run_cli_capture(census + held_out.string() + " --resume");
+    EXPECT_EQ(stale.exit_code, 1) << stale.output;
+    EXPECT_NE(stale.output.find("different campaign"), std::string::npos) << stale.output;
+    const auto resumed =
+        run_cli_capture(census + held_out.string() + " --base-seed 20110219 --resume");
+    EXPECT_EQ(resumed.exit_code, 0) << resumed.output;
+    EXPECT_NE(resumed.output.find("resuming: 2/2"), std::string::npos) << resumed.output;
+
+    const fs::path implicit = temp_file("implicit.journal");
+    const fs::path named = temp_file("named.journal");
+    ASSERT_EQ(run_cli(census + implicit.string()), 0);
+    ASSERT_EQ(run_cli(census + named.string() + " --base-seed 20100219"), 0);
+    EXPECT_EQ(slurp(implicit), slurp(named));
+}
+
 TEST(CliSmoke, SeasonInjectFaultsReportsTheAbsorbedFaults) {
     const fs::path journal = temp_file("inject.journal");
     const auto r = run_cli_capture("season --end 2010-02-20 --inject-faults 7 --checkpoint " +

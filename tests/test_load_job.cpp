@@ -249,7 +249,7 @@ TEST(LoadJob, FirstCorruptingRunEmitsOnce) {
     const JobResult first = job.run(mem, false);
     ASSERT_GT(first.raw_flips, 0u);
     EXPECT_TRUE(job.emitted());
-    // The emitted container stays put: later runs copy it rather than emit
+    // The emitted container stays put: later runs read it rather than emit
     // again (the freed archive could not be emitted from a second time).
     const std::uint8_t* container = job.reference_container().data();
     for (int i = 0; i < 10; ++i) (void)job.run(mem, false);
@@ -335,6 +335,157 @@ TEST(Md5Checkpoints, RealContainer) {
     expect_resume_matches(container, {12});
     expect_resume_matches(container, {kStride});
     expect_resume_matches(container, {container.size() - 1});
+}
+
+TEST(Md5Checkpoints, LanesResumeFromCheckpointStates) {
+    // md5_many jobs that start from checkpoint states past the first one:
+    // each is a damaged copy of the reference, hashed from the checkpoint
+    // below its first damaged byte.
+    const auto reference = sample_bytes(6 * kStride + 77);
+    const Md5Checkpoints checkpoints(reference);
+    const std::size_t firsts[] = {kStride + 3, 2 * kStride, 5 * kStride + 70, 3 * kStride - 1,
+                                  6 * kStride + 76, 4 * kStride + 64};
+    std::vector<std::vector<BytePatch>> patches;
+    std::vector<Md5Job> jobs;
+    std::vector<Md5Digest> want;
+    for (const std::size_t first : firsts) {
+        const std::size_t from = checkpoints.resume_offset(first);
+        ASSERT_GT(from, 0u);
+        std::vector<std::uint8_t> damaged = reference;
+        damaged[first] ^= 0x21;
+        damaged.back() ^= 0x80;
+        want.push_back(md5(damaged));
+        std::vector<BytePatch> damage = {{first, 0x21}, {reference.size() - 1, 0x80}};
+        for (BytePatch& p : damage) p.offset -= from;
+        patches.push_back(net_patches(damage));
+    }
+    for (std::size_t i = 0; i < std::size(firsts); ++i) {
+        const std::size_t from = checkpoints.resume_offset(firsts[i]);
+        jobs.push_back({checkpoints.resume_state(firsts[i]), std::span(reference).subspan(from),
+                        patches[i]});
+    }
+    const std::vector<Md5Digest> got = md5_many(jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) EXPECT_EQ(got[i], want[i]) << "job " << i;
+}
+
+// --- settle ---------------------------------------------------------------
+
+/// The damage `flips` leave, materialised: the reference with each flip applied.
+std::vector<std::uint8_t> damaged_copy(const LoadJob& job, const RunDamage& damage) {
+    std::vector<std::uint8_t> container = job.reference_container();
+    for (const BytePatch& f : damage.flips) container[f.offset] ^= f.mask;
+    return container;
+}
+
+RunDamage damage_of(std::vector<BytePatch> flips) {
+    RunDamage damage;
+    damage.flips = std::move(flips);
+    damage.first_flipped = std::min_element(damage.flips.begin(), damage.flips.end(),
+                                            [](const BytePatch& a, const BytePatch& b) {
+                                                return a.offset < b.offset;
+                                            })->offset;
+    return damage;
+}
+
+TEST(LoadJobSettle, CancellingFlipsHashCleanButCountFromTheLowerOffset) {
+    const LoadJob job(small_config(), 2010);
+    const std::size_t size = job.container_bytes();
+    const std::vector<BlockInfo> dir = frost_block_directory(job.reference_container());
+    const std::size_t low = dir[1].offset + 20;
+    const BlockInfo& middle = dir[dir.size() / 2];
+    const std::size_t high = middle.offset + 17 + middle.comp_size / 2;
+    const Md5Checkpoints checkpoints(job.reference_container());
+    ASSERT_LT(checkpoints.resume_offset(low), checkpoints.resume_offset(high));
+    // A pair that cancels, alone and beside a flip that does not.
+    const std::vector<RunDamage> runs = {
+        damage_of({{low, 0x08}, {low, 0x08}}),
+        damage_of({{high, 0x01}, {low, 0x40}, {low, 0x40}}),
+    };
+    const std::vector<JobVerdict> verdicts = job.settle(runs);
+    ASSERT_EQ(verdicts.size(), 2u);
+
+    EXPECT_TRUE(verdicts[0].hash_ok);
+    EXPECT_EQ(verdicts[0].digest, job.reference_digest());
+    EXPECT_FALSE(verdicts[0].forensics.has_value());
+    EXPECT_EQ(verdicts[0].blocks_decoded, 0u);
+    EXPECT_EQ(verdicts[0].md5_bytes, size - checkpoints.resume_offset(low));
+
+    EXPECT_FALSE(verdicts[1].hash_ok);
+    EXPECT_EQ(verdicts[1].digest, md5(damaged_copy(job, runs[1])));
+    EXPECT_EQ(verdicts[1].md5_bytes, size - checkpoints.resume_offset(low));
+    ASSERT_TRUE(verdicts[1].forensics.has_value());
+    EXPECT_EQ(verdicts[1].blocks_decoded, 1u);
+}
+
+TEST(LoadJobSettle, ABatchSettlesAsEachRunAlone) {
+    // Seeded multi-flip damage, some of it in block headers: a batch (lanes)
+    // and runs settled one by one (scalar) give the same verdicts, and each
+    // verdict is what the materialised container hashes and recovers to.
+    const LoadJob job(small_config(), 2010);
+    const auto size = static_cast<std::int64_t>(job.container_bytes());
+    core::RngStream rng(21, "settle.batch");
+    std::vector<RunDamage> runs;
+    for (int r = 0; r < 11; ++r) {
+        std::vector<BytePatch> flips;
+        const std::int64_t n = rng.uniform_int(1, 4);
+        for (std::int64_t f = 0; f < n; ++f) {
+            const auto at = static_cast<std::size_t>(rng.uniform_int(12, size - 1));
+            const auto bit = static_cast<int>(rng.uniform_int(0, 7));
+            flips.push_back({at, static_cast<std::uint8_t>(1u << bit)});
+        }
+        runs.push_back(damage_of(std::move(flips)));
+    }
+    // Two runs whose damage is in the first block's header.
+    const std::size_t header = frost_block_directory(job.reference_container())[1].offset;
+    runs.push_back(damage_of({{header + 9, 0x02}}));
+    runs.push_back(damage_of({{header + 16, 0x01}, {header + 40, 0x10}}));
+
+    const std::vector<JobVerdict> batch = job.settle(runs);
+    ASSERT_EQ(batch.size(), runs.size());
+    const Md5Checkpoints checkpoints(job.reference_container());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "run " << i);
+        const JobVerdict alone = job.settle(std::span(&runs[i], 1)).front();
+        const std::vector<std::uint8_t> damaged = damaged_copy(job, runs[i]);
+        EXPECT_EQ(batch[i].digest, alone.digest);
+        EXPECT_EQ(batch[i].digest, md5(damaged));
+        EXPECT_EQ(batch[i].hash_ok, batch[i].digest == job.reference_digest());
+        EXPECT_EQ(batch[i].md5_bytes, alone.md5_bytes);
+        EXPECT_EQ(batch[i].md5_bytes,
+                  damaged.size() - checkpoints.resume_offset(runs[i].first_flipped));
+        EXPECT_EQ(batch[i].blocks_decoded, alone.blocks_decoded);
+        ASSERT_EQ(batch[i].forensics.has_value(), !batch[i].hash_ok);
+        if (!batch[i].forensics) continue;
+        const RecoveryReport full = frost_recover(damaged);
+        EXPECT_EQ(batch[i].forensics->total_blocks, full.total_blocks);
+        EXPECT_EQ(batch[i].forensics->corrupt_blocks, full.corrupt_blocks);
+        EXPECT_EQ(batch[i].forensics->salvaged_bytes, full.salvaged_bytes);
+        EXPECT_EQ(batch[i].forensics->lost_bytes, full.lost_bytes);
+        EXPECT_EQ(batch[i].forensics->directory_damaged, full.directory_damaged);
+        EXPECT_EQ(alone.forensics->corrupt_blocks, full.corrupt_blocks);
+    }
+}
+
+TEST(LoadJobSettle, CleanDrawsPlanACorruptingDrawEmits) {
+    // The emit frees the archive, so it comes with the first corrupting
+    // draw rather than waiting for the first settle.
+    LoadJob clean(small_config(), 2010);
+    auto quiet = quiet_memory();
+    EXPECT_FALSE(clean.draw(quiet, false).damage.has_value());
+    EXPECT_TRUE(clean.planned());
+    EXPECT_FALSE(clean.emitted());
+
+    LoadJob job(small_config(), 2010);
+    auto mem = noisy_memory();
+    const JobDraw drawn = job.draw(mem, false);
+    ASSERT_TRUE(drawn.damage.has_value());
+    EXPECT_TRUE(job.emitted());
+    // Drawn and settled apart, or run whole: the same verdict.
+    LoadJob twin(small_config(), 2010);
+    auto twin_mem = noisy_memory();
+    const JobResult whole = twin.run(twin_mem, false);
+    ASSERT_TRUE(whole.digest.has_value());
+    EXPECT_EQ(job.settle(std::span(&*drawn.damage, 1)).front().digest, *whole.digest);
 }
 
 // --- LoadJob and the full pipeline agree -----------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <ostream>
 #include <vector>
 
@@ -34,19 +35,20 @@ TEST_P(Rfc1321, Matches) {
     EXPECT_EQ(hex_of(input), digest);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Vectors, Rfc1321,
-    ::testing::Values(
-        Rfc1321Case{"", "d41d8cd98f00b204e9800998ecf8427e"},
-        Rfc1321Case{"a", "0cc175b9c0f1b6a831c399e269772661"},
-        Rfc1321Case{"abc", "900150983cd24fb0d6963f7d28e17f72"},
-        Rfc1321Case{"message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
-        Rfc1321Case{"abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"},
-        Rfc1321Case{"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
-                    "d174ab98d277d9f5a5611c2c9f419d9f"},
-        Rfc1321Case{"1234567890123456789012345678901234567890123456789012345678901234567890123456"
-                    "7890",
-                    "57edf4a22be3c955ac49da2e2107b67a"}));
+constexpr Rfc1321Case kRfc1321[] = {
+    {"", "d41d8cd98f00b204e9800998ecf8427e"},
+    {"a", "0cc175b9c0f1b6a831c399e269772661"},
+    {"abc", "900150983cd24fb0d6963f7d28e17f72"},
+    {"message digest", "f96b697d7cb7938d525a2f31aaf161d0"},
+    {"abcdefghijklmnopqrstuvwxyz", "c3fcd3d76192e4007dfb496cca67e13b"},
+    {"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
+     "d174ab98d277d9f5a5611c2c9f419d9f"},
+    {"1234567890123456789012345678901234567890123456789012345678901234567890123456"
+     "7890",
+     "57edf4a22be3c955ac49da2e2107b67a"},
+};
+
+INSTANTIATE_TEST_SUITE_P(Vectors, Rfc1321, ::testing::ValuesIn(kRfc1321));
 
 TEST(Md5Test, IncrementalEqualsOneShot) {
     const std::string text(10000, 'x');
@@ -175,6 +177,119 @@ TEST(Md5Test, RandomChunkedUpdatesEqualTheOneShotDigest) {
         EXPECT_EQ(to_hex(h.finalize()), to_hex(md5(all.first(length))))
             << "trial " << trial << " length " << length;
     }
+}
+
+
+// --- md5_many: four SSE2 lanes against the scalar Md5 ------------------------
+
+/// `job` finished on its own: a patched copy of its data fed to its start.
+Md5Digest scalar_digest(const Md5Job& job) {
+    std::vector<std::uint8_t> data(job.data.begin(), job.data.end());
+    apply_patches(data, 0, job.patches);
+    Md5 h = job.start;
+    h.update(data);
+    return h.finalize();
+}
+
+void expect_lanes_match_scalar(std::span<const Md5Job> jobs) {
+    const std::vector<Md5Digest> digests = md5_many(jobs);
+    ASSERT_EQ(digests.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(to_hex(digests[i]), to_hex(scalar_digest(jobs[i])))
+            << "job " << i << " of " << jobs.size() << ", " << jobs[i].data.size() << " bytes";
+    }
+}
+
+TEST(Md5Many, NoJobsNoDigests) { EXPECT_TRUE(md5_many({}).empty()); }
+
+TEST(Md5Many, Rfc1321VectorsInEveryLanePosition) {
+    // Four jobs of one whole block each take the lanes in job order, so the
+    // 80-byte vector runs in lane p at job index p.  The shorter vectors have
+    // no whole block: they finish on the scalar path beside busy lanes.
+    const std::vector<std::uint8_t> filler = pattern_buffer();
+    for (const Rfc1321Case& c : kRfc1321) {
+        for (std::size_t p = 0; p < 4; ++p) {
+            std::vector<Md5Job> jobs(4);
+            for (std::size_t j = 0; j < 4; ++j) jobs[j].data = std::span(filler).first(64 + 17 * j);
+            jobs[p].data = std::span(reinterpret_cast<const std::uint8_t*>(c.input),
+                                     std::strlen(c.input));
+            const std::vector<Md5Digest> digests = md5_many(jobs);
+            EXPECT_EQ(to_hex(digests[p]), c.digest) << "position " << p;
+            expect_lanes_match_scalar(jobs);
+        }
+    }
+}
+
+TEST(Md5Many, SeededMixesOfUnequalJobsMatchTheScalarDigest) {
+    // 1-9 jobs of unequal lengths with a few damaged bytes each: lanes
+    // refill as jobs end, and the last lone job goes scalar.  Every other
+    // trial starts with the padding and block edges as lengths.
+    const std::vector<std::uint8_t> buf = pattern_buffer();
+    constexpr std::size_t kEdges[] = {0, 55, 56, 63, 64, 119, 120};
+    core::RngStream rng(12, "md5.lane-mixes");
+    for (int trial = 0; trial < 80; ++trial) {
+        const auto count = static_cast<std::size_t>(rng.uniform_int(1, 9));
+        std::vector<std::vector<BytePatch>> patches(count);
+        std::vector<Md5Job> jobs(count);
+        for (std::size_t j = 0; j < count; ++j) {
+            std::size_t length = 0;
+            if (trial % 2 == 0 && j < std::size(kEdges)) {
+                length = kEdges[(j + static_cast<std::size_t>(trial) / 2) % std::size(kEdges)];
+            } else {
+                length = static_cast<std::size_t>(rng.uniform_int(0, 6000));
+            }
+            const auto offset = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(buf.size() - length)));
+            jobs[j].data = std::span(buf).subspan(offset, length);
+            const std::int64_t flips = length == 0 ? 0 : rng.uniform_int(0, 4);
+            std::vector<BytePatch> raw;
+            for (std::int64_t f = 0; f < flips; ++f) {
+                const auto at = static_cast<std::size_t>(
+                    rng.uniform_int(0, static_cast<std::int64_t>(length) - 1));
+                const auto mask = static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+                raw.push_back({at, mask});
+            }
+            patches[j] = net_patches(raw);
+            jobs[j].patches = patches[j];
+        }
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        expect_lanes_match_scalar(jobs);
+    }
+}
+
+TEST(Md5Many, JobsResumeFromPartFedStates) {
+    // Starts after whole blocks (as checkpoints are) and inside a block (the
+    // buffer is topped up first); each job is the rest of one prefix of the
+    // pattern buffer, so its digest is that prefix's one-shot digest.
+    const std::vector<std::uint8_t> buf = pattern_buffer();
+    const std::span<const std::uint8_t> all(buf);
+    struct Split {
+        std::size_t fed;
+        std::size_t length;
+    };
+    const Split splits[] = {{64, 9000},   {16384, 30000}, {3 * 64 + 5, 4000},
+                            {1, 62},      {70000, 129},   {127, 0},
+                            {40000, 120}, {0, 50000}};
+    std::vector<Md5Job> jobs;
+    for (const Split& s : splits) {
+        Md5Job job;
+        job.start.update(all.first(s.fed));
+        job.data = all.subspan(s.fed, s.length);
+        jobs.push_back(job);
+    }
+    const std::vector<Md5Digest> digests = md5_many(jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(to_hex(digests[i]), to_hex(md5(all.first(splits[i].fed + splits[i].length))))
+            << "job " << i;
+    }
+    expect_lanes_match_scalar(jobs);
+}
+
+TEST(Md5Many, FinalizedStartThrows) {
+    Md5Job job;
+    (void)job.start.finalize();
+    std::vector<Md5Job> jobs = {Md5Job{}, job};
+    EXPECT_THROW((void)md5_many(jobs), core::InvalidArgument);
 }
 
 }  // namespace

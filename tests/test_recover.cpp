@@ -336,6 +336,100 @@ TEST(RecoverReference, EveryCorruptingRunOfTheGoldenSeason) {
     }
 }
 
+// --- touched-block forensics ---------------------------------------------
+//
+// frost_recover_patched reads the reference with the damage XORed in and
+// decodes only the blocks a patch touches; it must report what the full
+// decode of the materialised damaged container reports.
+
+RecoveryReport expect_patched_matches_full(const std::vector<std::uint8_t>& pristine,
+                                           const std::vector<BytePatch>& flips) {
+    std::vector<std::uint8_t> damaged = pristine;
+    for (const BytePatch& f : flips) damaged[f.offset] ^= f.mask;
+    const std::vector<BlockInfo> dir = frost_block_directory(pristine);
+    const RecoveryReference reference{pristine, dir};
+    const RecoveryReport full = frost_recover(damaged);
+    const RecoveryReport patched = frost_recover_patched(reference, net_patches(flips));
+    expect_same_findings(full, patched);
+    EXPECT_LE(patched.blocks_decoded, full.blocks_decoded);
+    return patched;
+}
+
+TEST(RecoverPatched, EveryBitOfTheFirstTwoBlockHeaders) {
+    // Header damage takes the materialised fallback.
+    const auto pristine = sample_container();
+    const auto dir = frost_block_directory(pristine);
+    for (const std::size_t b : {std::size_t{0}, std::size_t{1}}) {
+        for (std::size_t byte = 0; byte < 17; ++byte) {
+            for (int bit = 0; bit < 8; ++bit) {
+                SCOPED_TRACE(testing::Message() << "block " << b << " byte " << byte << " bit "
+                                                << bit);
+                expect_patched_matches_full(
+                    pristine, {{dir[b].offset + byte, static_cast<std::uint8_t>(1u << bit)}});
+            }
+        }
+    }
+}
+
+TEST(RecoverPatched, SampledPayloadBytesDecodeOnlyTheirBlock) {
+    const auto pristine = sample_container();
+    const auto dir = frost_block_directory(pristine);
+    for (std::size_t b = 0; b < dir.size(); ++b) {
+        for (std::size_t pos = 0; pos < dir[b].comp_size; pos += 97) {
+            SCOPED_TRACE(testing::Message() << "block " << b << " pos " << pos);
+            const RecoveryReport r = expect_patched_matches_full(
+                pristine,
+                {{dir[b].offset + 17 + pos, static_cast<std::uint8_t>(1u << (pos % 8))}});
+            EXPECT_EQ(r.blocks_decoded, 1u);
+        }
+    }
+}
+
+TEST(RecoverPatched, PaddingBitsOfTheLastByte) {
+    // Some of the last byte's bits are padding: the block may still decode
+    // cleanly, and both reports must say the same either way.
+    const auto pristine = sample_container();
+    for (int bit = 0; bit < 8; ++bit) {
+        SCOPED_TRACE(bit);
+        const RecoveryReport r = expect_patched_matches_full(
+            pristine, {{pristine.size() - 1, static_cast<std::uint8_t>(1u << bit)}});
+        EXPECT_EQ(r.blocks_decoded, 1u);
+    }
+}
+
+TEST(RecoverPatched, CancellingPairsTouchNothing) {
+    const auto pristine = sample_container();
+    const auto dir = frost_block_directory(pristine);
+    const std::size_t payload = dir[2].offset + 17 + 5;
+    const std::size_t header = dir[3].offset + 8;
+    const RecoveryReport none = expect_patched_matches_full(
+        pristine, {{payload, 0x04}, {header, 0x10}, {payload, 0x04}, {header, 0x10}});
+    EXPECT_TRUE(none.fully_intact());
+    EXPECT_EQ(none.blocks_decoded, 0u);
+    // A cancelled pair beside a flip that stands: only its block decodes.
+    const RecoveryReport one = expect_patched_matches_full(
+        pristine, {{header, 0x10}, {dir[4].offset + 30, 0x01}, {header, 0x10}});
+    EXPECT_EQ(one.blocks_decoded, 1u);
+    EXPECT_EQ(one.corrupt_blocks, (std::vector<std::size_t>{4}));
+}
+
+TEST(RecoverPatched, MultiFlipDamageAcrossBlocks) {
+    const auto pristine = sample_container();
+    core::RngStream rng(8, "recover.patched-flips");
+    for (int trial = 0; trial < 40; ++trial) {
+        std::vector<BytePatch> flips;
+        const std::int64_t n = rng.uniform_int(2, 6);
+        for (std::int64_t f = 0; f < n; ++f) {
+            const auto pos = static_cast<std::size_t>(
+                rng.uniform_int(12, static_cast<std::int64_t>(pristine.size()) - 1));
+            const auto bit = static_cast<int>(rng.uniform_int(0, 7));
+            flips.push_back({pos, static_cast<std::uint8_t>(1u << bit)});
+        }
+        SCOPED_TRACE(trial);
+        expect_patched_matches_full(pristine, flips);
+    }
+}
+
 // --- untrusted header sizes ----------------------------------------------
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)

@@ -2,9 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/error.hpp"
+#include "core/rng.hpp"
+#include "experiment/census.hpp"
+#include "experiment/runner.hpp"
+#include "experiment/sweep_journal.hpp"
 
 namespace zerodeg::workload {
+
+// Readable failure output for the settle comparisons below.
+void PrintTo(const WrongHashIncident& inc, std::ostream* os) {
+    *os << "{host " << inc.host_id << " at " << inc.time.to_string() << ", " << inc.corrupt_blocks
+        << "/" << inc.total_blocks << " blocks" << (inc.recovered ? ", recovered" : "") << "}";
+}
+void PrintTo(const HostLoadStats& st, std::ostream* os) {
+    *os << "{runs " << st.runs << ", wrong " << st.wrong_hashes << ", skipped " << st.skipped
+        << ", ecc " << st.ecc_corrected << ", page_ops " << st.page_ops << ", blocks "
+        << st.blocks_decoded << ", md5 " << st.md5_bytes << "}";
+}
+
 namespace {
 
 using core::Duration;
@@ -117,6 +141,79 @@ TEST(Scheduler, TwoHostsIndependentStreams) {
     sched.add_host({2, true, [] { return true; }}, sim.now());
     sim.run_until(sim.now() + Duration::hours(5));
     EXPECT_EQ(sched.stats(1).runs, sched.stats(2).runs);
+}
+
+// --- settling on first read ------------------------------------------------
+
+/// Everything a season's archive outcomes are: per-host stats, incidents
+/// and the census record the journal stores.
+struct Outcomes {
+    std::map<int, HostLoadStats> stats;
+    std::vector<WrongHashIncident> incidents;
+    std::string census_record;
+};
+
+enum class ReadPattern { kEveryStep, kRandomPoints, kOnlyAtEnd };
+
+Outcomes season_read(ReadPattern pattern) {
+    const experiment::ExperimentConfig config;
+    experiment::ExperimentRunner run(config);
+    core::Simulator& sim = run.simulator();
+    const LoadScheduler& load = run.load();
+    const TimePoint stop = config.end - Duration::days(1);
+    if (pattern == ReadPattern::kEveryStep) {
+        // What a traced benchmark does: every corrupting run settles alone.
+        while (sim.now() < stop && sim.step()) (void)load.incidents();
+    } else if (pattern == ReadPattern::kRandomPoints) {
+        core::RngStream rng(5, "settle.read-points");
+        while (sim.now() < stop) {
+            run.run_until(std::min(stop, sim.now() + Duration::minutes(rng.uniform_int(1, 6000))));
+            const auto& all = load.all_stats();
+            if (all.empty()) continue;
+            const auto host = static_cast<std::int64_t>(all.size()) - 1;
+            (void)load.stats(std::next(all.begin(), rng.uniform_int(0, host))->first);
+        }
+    }
+    run.run();
+    Outcomes out;
+    out.stats = load.all_stats();
+    out.incidents = load.incidents();
+    out.census_record = experiment::encode_cell_record(0, experiment::take_census(run));
+    return out;
+}
+
+TEST(SchedulerSettle, OutcomesDoNotDependOnWhenTheyAreRead) {
+    const Outcomes at_end = season_read(ReadPattern::kOnlyAtEnd);
+    ASSERT_EQ(at_end.incidents.size(), 13u);
+    for (const ReadPattern pattern : {ReadPattern::kEveryStep, ReadPattern::kRandomPoints}) {
+        SCOPED_TRACE(static_cast<int>(pattern));
+        const Outcomes read = season_read(pattern);
+        EXPECT_EQ(read.stats, at_end.stats);
+        EXPECT_EQ(read.incidents, at_end.incidents);
+        EXPECT_EQ(read.census_record, at_end.census_record);
+    }
+}
+
+TEST(SchedulerSettle, NoisyHostsSettleAlikeStepByStepAndInOneBatch) {
+    // Many multi-flip corrupting runs across hosts, settled one at a time
+    // or all at once on the last read.
+    faults::MemoryFaultParams noisy;
+    noisy.flip_probability_per_page_op = 1.0 / 3000.0;
+    const auto season = [&noisy](bool read_every_step) {
+        Simulator sim(TimePoint::from_date(2010, 2, 19));
+        LoadScheduler sched(sim, small_job(), noisy, 3);
+        for (int id = 1; id <= 3; ++id) sched.add_host({id, false, [] { return true; }}, sim.now());
+        const TimePoint end = sim.now() + Duration::hours(8);
+        while (sim.now() < end && sim.step()) {
+            if (read_every_step) (void)sched.total_wrong_hashes();
+        }
+        return std::make_pair(sched.all_stats(), sched.incidents());
+    };
+    const auto batched = season(false);
+    const auto stepped = season(true);
+    EXPECT_GT(batched.second.size(), 8u);
+    EXPECT_EQ(stepped.first, batched.first);
+    EXPECT_EQ(stepped.second, batched.second);
 }
 
 }  // namespace

@@ -106,11 +106,11 @@ const std::map<std::string, std::set<std::string>> kAllowedFlags = {
      {"seed", "end", "trace", "export", "jobs", "checkpoint", "resume", "collector-retries",
       "collector-buffer", "inject-faults", "workload", "clone"}},
     {"census",
-     {"seeds", "jobs", "checkpoint", "resume", "inject-faults", "torture", "workload", "end",
-      "synthetic"}},
+     {"seeds", "base-seed", "jobs", "checkpoint", "resume", "inject-faults", "torture",
+      "workload", "end", "synthetic"}},
     {"sweep",
-     {"coordinator", "worker", "socket", "checkpoint", "seeds", "jobs", "workload", "end",
-      "resume", "net-faults", "synthetic", "idle-timeout-ms", "spawn-workers"}},
+     {"coordinator", "worker", "socket", "checkpoint", "seeds", "base-seed", "jobs", "workload",
+      "end", "resume", "net-faults", "synthetic", "idle-timeout-ms", "spawn-workers"}},
     {"prototype", {"seed"}},
 };
 
@@ -365,6 +365,7 @@ experiment::CensusPlan census_plan_from_flags(const FlagMap& flags) {
     if (seeds == 0) throw core::InvalidArgument("--seeds must be positive");
     experiment::CensusPlan plan;
     plan.seeds = static_cast<std::size_t>(seeds);
+    plan.base_seed = flag_u64(flags, "base-seed", plan.base_seed);
     // --workload/--end reshape every cell's season the same way.
     const experiment::WorkloadKind workload = parse_workload(flags);
     std::optional<core::TimePoint> end;
@@ -436,7 +437,7 @@ std::vector<std::string> spawned_worker_argv(const FlagMap& flags, std::size_t i
                                      flags.at("socket"), "--checkpoint",
                                      flags.at("checkpoint") + ".worker" + std::to_string(index)};
     for (const char* forwarded :
-         {"seeds", "jobs", "workload", "end", "net-faults"}) {
+         {"seeds", "base-seed", "jobs", "workload", "end", "net-faults"}) {
         const auto it = flags.find(forwarded);
         if (it == flags.end()) continue;
         argv.push_back("--" + it->first);
@@ -617,16 +618,16 @@ void synopsis(std::ostream& out) {
            "            [--checkpoint FILE] [--resume] [--collector-retries N]\n"
            "            [--collector-buffer BYTES] [--inject-faults SEED]\n"
            "            [--workload archive|traffic] [--clone]\n"
-           "  census    [--seeds N] [--jobs N] [--checkpoint FILE] [--resume]\n"
-           "            [--inject-faults SEED] [--torture] [--workload archive|traffic]\n"
-           "            [--end D] [--synthetic]\n"
+           "  census    [--seeds N] [--base-seed B] [--jobs N] [--checkpoint FILE]\n"
+           "            [--resume] [--inject-faults SEED] [--torture]\n"
+           "            [--workload archive|traffic] [--end D] [--synthetic]\n"
            "            (--jobs 0 = all hardware threads)\n"
            "  sweep     --coordinator --socket PATH --checkpoint FILE [--seeds N]\n"
            "            [--resume] [--idle-timeout-ms N] [--spawn-workers N]\n"
            "  sweep     --worker --socket PATH --checkpoint FILE [--seeds N]\n"
            "            [--jobs N] [--net-faults SEED]\n"
-           "            (both sweep modes: [--workload archive|traffic] [--end D]\n"
-           "             [--synthetic])\n"
+           "            (both sweep modes: [--base-seed B] [--workload archive|traffic]\n"
+           "             [--end D] [--synthetic])\n"
            "  prototype [--seed N]\n"
            "exit codes: 0 ok, 1 runtime failure, 2 usage error\n";
 }
