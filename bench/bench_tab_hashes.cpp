@@ -8,7 +8,6 @@
 #include "experiment/census.hpp"
 #include "experiment/report.hpp"
 #include "experiment/runner.hpp"
-#include "workload/archive.hpp"
 #include "workload/compressor.hpp"
 #include "workload/corpus.hpp"
 #include "workload/md5.hpp"
@@ -106,10 +105,11 @@ void bm_load_job_clean_run(benchmark::State& state) {
 }
 BENCHMARK(bm_load_job_clean_run);
 
-// The LoadJob build by stage, on the default corpus: frost_plan (RLE
-// counts and code lengths) and frost_emit (bits, CRCs, headers), then the
-// first run of a fresh job, which plans only when it is clean and also emits
-// when it corrupts.
+// The LoadJob build by stage, on the default corpus: corpus_archive (the
+// corpus written straight into its archive), frost_plan (RLE counts and
+// code lengths) and frost_emit (bits, CRCs, headers), then the first run of
+// a fresh job, which plans only when it is clean and also emits when it
+// corrupts.
 
 struct DefaultArchive {
     std::vector<std::uint8_t> bytes;
@@ -120,12 +120,22 @@ const DefaultArchive& default_archive() {
     static const DefaultArchive archive = [] {
         const workload::LoadJobConfig cfg;
         DefaultArchive a;
-        a.bytes = workload::write_archive(workload::SyntheticCorpus(cfg.corpus, 2010).files());
+        a.bytes = workload::corpus_archive(cfg.corpus, 2010);
         a.config.block_size = workload::LoadJob(cfg, 2010).compressor_config().block_size;
         return a;
     }();
     return archive;
 }
+
+void bm_corpus_archive(benchmark::State& state) {
+    const workload::CorpusConfig cfg;
+    for (auto _ : state) {
+        const std::vector<std::uint8_t> archive = workload::corpus_archive(cfg, 2010);
+        benchmark::DoNotOptimize(archive.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(bm_corpus_archive)->Unit(benchmark::kMillisecond);
 
 void bm_frost_plan(benchmark::State& state) {
     const DefaultArchive& a = default_archive();

@@ -1,7 +1,9 @@
 #include "workload/archive.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "core/error.hpp"
 
@@ -39,38 +41,63 @@ bool is_zero_record(const std::uint8_t* rec) {
     return true;
 }
 
+constexpr std::size_t padded(std::size_t n) {
+    return (n + kRecordSize - 1) / kRecordSize * kRecordSize;
+}
+
 }  // namespace
 
+ArchiveWriter::ArchiveWriter(std::size_t expected_bytes) : out_(expected_bytes) {}
+
+void ArchiveWriter::grow(std::size_t n) {
+    out_.resize(std::max(2 * out_.size(), used_ + n), 0);
+}
+
+void ArchiveWriter::begin_file(std::string_view path) {
+    if (path.size() >= kNameLen) {
+        throw core::InvalidArgument("archive: path too long: " + std::string(path));
+    }
+    std::uint8_t* rec = reserve(kRecordSize);
+    std::memset(rec, 0, kRecordSize);
+    std::memcpy(rec + kNameOff, path.data(), path.size());
+    commit(kRecordSize);
+    contents_ = used_;
+}
+
+void ArchiveWriter::end_file() {
+    const std::size_t size = file_bytes();
+    std::uint8_t* rec = out_.data() + contents_ - kRecordSize;
+    char size_field[kSizeLen + 1];
+    std::snprintf(size_field, sizeof size_field, "%011zo", size);
+    std::memcpy(rec + kSizeOff, size_field, kSizeLen);
+    std::memcpy(rec + kMagicOff, kMagic, sizeof kMagic);
+    char chk_field[kChkLen + 1] = {};
+    std::snprintf(chk_field, sizeof chk_field, "%06o", header_checksum(rec));
+    chk_field[7] = ' ';  // tar convention: NUL then space
+    std::memcpy(rec + kChkOff, chk_field, kChkLen);
+    const std::size_t pad = padded(size) - size;
+    std::memset(reserve(pad), 0, pad);
+    commit(pad);
+}
+
+std::vector<std::uint8_t> ArchiveWriter::finish() && {
+    // End-of-archive: two zero records.
+    std::memset(reserve(2 * kRecordSize), 0, 2 * kRecordSize);
+    commit(2 * kRecordSize);
+    out_.resize(used_);
+    return std::move(out_);
+}
+
 std::vector<std::uint8_t> write_archive(const std::vector<CorpusFile>& files) {
-    const auto padded = [](std::size_t n) {
-        return (n + kRecordSize - 1) / kRecordSize * kRecordSize;
-    };
     std::size_t total = 2 * kRecordSize;
     for (const CorpusFile& f : files) total += kRecordSize + padded(f.contents.size());
-    std::vector<std::uint8_t> out;
-    out.reserve(total);
+    ArchiveWriter out(total);
     for (const CorpusFile& f : files) {
-        if (f.path.size() >= kNameLen) {
-            throw core::InvalidArgument("write_archive: path too long: " + f.path);
-        }
-        std::uint8_t rec[kRecordSize] = {};
-        std::memcpy(rec + kNameOff, f.path.data(), f.path.size());
-        char size_field[kSizeLen + 1];
-        std::snprintf(size_field, sizeof size_field, "%011zo", f.contents.size());
-        std::memcpy(rec + kSizeOff, size_field, kSizeLen);
-        std::memcpy(rec + kMagicOff, kMagic, sizeof kMagic);
-        char chk_field[kChkLen + 1] = {};
-        std::snprintf(chk_field, sizeof chk_field, "%06o", header_checksum(rec));
-        chk_field[7] = ' ';  // tar convention: NUL then space
-        std::memcpy(rec + kChkOff, chk_field, kChkLen);
-
-        out.insert(out.end(), rec, rec + kRecordSize);
-        out.insert(out.end(), f.contents.begin(), f.contents.end());
-        out.resize(out.size() + padded(f.contents.size()) - f.contents.size(), 0);
+        out.begin_file(f.path);
+        out.append(f.contents);
+        out.end_file();
     }
-    // End-of-archive: two zero records.
-    out.insert(out.end(), 2 * kRecordSize, 0);
-    return out;
+    return std::move(out).finish();
 }
 
 namespace {

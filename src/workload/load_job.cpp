@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/error.hpp"
-#include "workload/archive.hpp"
 
 namespace zerodeg::workload {
 
@@ -38,15 +37,20 @@ LoadJob::LoadJob(LoadJobConfig config, std::uint64_t seed)
     if (config.corpus.total_bytes == 0 || config.corpus.mean_file_bytes == 0) {
         throw core::InvalidArgument("LoadJob: corpus sizes must be positive");
     }
+    if (config.corpus.top_level_dirs == 0) {
+        throw core::InvalidArgument("LoadJob: corpus top_level_dirs must be positive");
+    }
 }
 
 void LoadJob::plan() const {
-    // The corpus is a temporary: it is freed before the compressor runs.
-    std::vector<std::uint8_t> archive =
-        write_archive(SyntheticCorpus(config_.corpus, seed_).files());
+    // The corpus is generated straight into the archive: one buffer, which
+    // the plan scans and the emit later compresses.
+    std::vector<std::uint8_t> archive = corpus_archive(config_.corpus, seed_);
 
     // Pick a block size that yields ~target_blocks blocks, as the paper's
-    // corpus did under bzip2's 900k blocks (396 blocks there).
+    // corpus did under bzip2's 900k blocks (396 blocks there).  It depends
+    // on the whole archive's size, so the plan cannot run block by block
+    // beside the generator.
     Planned planned;
     planned.compressor.block_size =
         std::max<std::size_t>(1024, archive.size() / config_.target_blocks);

@@ -127,7 +127,8 @@ struct JobResult {
 
 /// One load cycle's reference, built lazily in two stages on first use.
 /// The constructor only validates the config.  The first call that needs a
-/// size (draw, the size accessors) plans: corpus -> archive -> frost_plan.
+/// size (draw, the size accessors) plans: corpus_archive, which writes the
+/// corpus straight into one archive buffer, then frost_plan over it.
 /// The first corrupting draw, or any accessor for bytes or digests, emits:
 /// the container, its MD5 checkpoints and its block directory; it then frees
 /// the archive.  A clean run never emits.  The pipeline is deterministic, so a run never

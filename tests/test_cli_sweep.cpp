@@ -187,11 +187,12 @@ TEST(CliSweep, UnreachableCoordinatorDegradesToLocalBufferingThenDrains) {
 
     // A local census left its cells in the worker's journal.  With no
     // coordinator anywhere the worker must still succeed, reporting every
-    // one of them buffered.
+    // one of them buffered.  --idle-timeout-ms bounds its wait for the
+    // socket, which would otherwise take ~5 s.
     const auto local = run_cli("census --checkpoint " + journal + " " + common);
     ASSERT_EQ(local.exit_code, 0) << local.output;
     const auto offline = run_cli("sweep --worker --socket " + socket + " --checkpoint " +
-                                 journal + " " + common);
+                                 journal + " --idle-timeout-ms 100 " + common);
     ASSERT_EQ(offline.exit_code, 0) << offline.output;
     EXPECT_NE(offline.output.find("degraded"), std::string::npos) << offline.output;
     EXPECT_NE(offline.output.find("4 cell(s) buffered"), std::string::npos) << offline.output;
@@ -216,10 +217,12 @@ TEST(CliSweep, ForeignCampaignWorkerIsRejected) {
     const fs::path dir = short_scratch("foreign");
     const std::string socket = (dir / "sweep.sock").string();
 
+    // The coordinator gives up 1 s after it last heard anything: once the
+    // worker is turned away, not after 5 s.
     std::thread coordinator([&] {
         (void)run_cli("sweep --coordinator --socket " + socket + " --checkpoint " +
                       (dir / "merged.journal").string() +
-                      " --seeds 4 --synthetic --idle-timeout-ms 5000");
+                      " --seeds 4 --synthetic --idle-timeout-ms 1000");
     });
     // Same cell count, different campaign shape (--end changes every cell's
     // config hash): the coordinator must turn the worker away loudly.

@@ -9,7 +9,6 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
-#include "workload/archive.hpp"
 #include "workload/corpus.hpp"
 
 namespace zerodeg::workload {
@@ -325,8 +324,7 @@ TEST(Huffman, CanonicalCodesArePrefixFree) {
 std::vector<std::uint8_t> sample_data(std::size_t size, std::uint64_t seed = 9) {
     CorpusConfig cfg;
     cfg.total_bytes = size;
-    const SyntheticCorpus corpus(cfg, seed);
-    return write_archive(corpus.files());
+    return corpus_archive(cfg, seed);
 }
 
 TEST(Frost, RoundTrip) {

@@ -11,7 +11,7 @@
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
-#include "workload/archive.hpp"
+#include "workload/corpus.hpp"
 
 namespace zerodeg::workload {
 namespace {
@@ -42,7 +42,7 @@ faults::MemoryFaultModel noisy_memory(std::uint64_t seed = 1) {
 class FullPipeline {
 public:
     FullPipeline(const LoadJobConfig& config, std::uint64_t seed)
-        : archive_(write_archive(SyntheticCorpus(config.corpus, seed).files())),
+        : archive_(corpus_archive(config.corpus, seed)),
           flip_rng_(seed, "loadjob.flips") {
         compressor_.block_size =
             std::max<std::size_t>(1024, archive_.size() / config.target_blocks);
@@ -188,6 +188,16 @@ TEST(LoadJob, ZeroTargetBlocksThrows) {
     EXPECT_THROW(LoadJob(cfg, 1), core::InvalidArgument);
 }
 
+TEST(LoadJob, ZeroTopLevelDirsThrowsAtConstruction) {
+    // The corpus could not pick a directory: without the check this threw
+    // from the first size read, inside a season's event loop.
+    LoadJobConfig cfg = small_config();
+    cfg.corpus.top_level_dirs = 0;
+    EXPECT_THROW(LoadJob(cfg, 1), core::InvalidArgument);
+    cfg.corpus.top_level_dirs = 1;
+    EXPECT_NO_THROW((void)LoadJob(cfg, 1).container_bytes());
+}
+
 TEST(LoadJob, BadPageOpMultiplierThrowsAtConstruction) {
     // Each would reach a double -> uint64 conversion out of range: undefined
     // behaviour.  Construction plans nothing, so the check cannot wait.
@@ -226,8 +236,7 @@ TEST(LoadJob, PlannedSizesAreTheEmittedContainers) {
     EXPECT_EQ(frost_block_directory(job.reference_container()).size(), block_count);
     EXPECT_EQ(job.block_count(), block_count);
     EXPECT_EQ(job.archive_bytes(), archive_bytes);
-    EXPECT_EQ(archive_bytes,
-              write_archive(SyntheticCorpus(small_config().corpus, 2010).files()).size());
+    EXPECT_EQ(archive_bytes, corpus_archive(small_config().corpus, 2010).size());
 }
 
 TEST(LoadJob, CleanRunsPlanButNeverEmit) {
@@ -578,8 +587,7 @@ TEST_P(LoadJobBytes, ArchiveContainerAndDigestArePinned) {
     LoadJobConfig cfg;
     cfg.corpus.total_bytes = pin.corpus_bytes;
     const LoadJob job(cfg, pin.seed);
-    EXPECT_EQ(fnv_of(write_archive(SyntheticCorpus(cfg.corpus, pin.seed).files())),
-              pin.archive_fnv);
+    EXPECT_EQ(fnv_of(corpus_archive(cfg.corpus, pin.seed)), pin.archive_fnv);
     EXPECT_EQ(fnv_of(job.reference_container()), pin.container_fnv);
     EXPECT_EQ(to_hex(job.reference_digest()), pin.digest);
     EXPECT_EQ(job.container_bytes(), pin.container_bytes);

@@ -12,7 +12,6 @@
 #include "core/rng.hpp"
 #include "experiment/runner.hpp"
 #include "faults/memory_faults.hpp"
-#include "workload/archive.hpp"
 #include "workload/corpus.hpp"
 #include "workload/scheduler.hpp"
 
@@ -23,10 +22,9 @@ std::vector<std::uint8_t> sample_container(std::size_t corpus_bytes = 64 * 1024,
                                            std::size_t block_size = 4096) {
     CorpusConfig cfg;
     cfg.total_bytes = corpus_bytes;
-    const SyntheticCorpus corpus(cfg, 13);
     CompressorConfig cc;
     cc.block_size = block_size;
-    return frost_compress(write_archive(corpus.files()), cc);
+    return frost_compress(corpus_archive(cfg, 13), cc);
 }
 
 TEST(Recover, PristineContainerFullyIntact) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "core/error.hpp"
 #include "core/stats.hpp"
@@ -78,6 +80,59 @@ TEST(Rng, UniformIntSingleton) {
 TEST(Rng, UniformIntBadRangeThrows) {
     RngStream rng(7, "i");
     EXPECT_THROW((void)rng.uniform_int(3, 2), InvalidArgument);
+}
+
+// FNV-1a over the little-endian bytes of 256 draws from [lo, lo + span - 1],
+// lo = -(span / 2).  The narrow spans were pinned before uniform_int moved
+// to unsigned arithmetic, so they hold its values where the signed form was
+// defined; the wide ones (span > 2^63, where the signed form overflowed)
+// were pinned after.
+std::uint64_t draws_fnv(std::int64_t lo, std::int64_t hi) {
+    RngStream rng(2010, "pins");
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 256; ++i) {
+        const auto v = static_cast<std::uint64_t>(rng.uniform_int(lo, hi));
+        for (int k = 0; k < 8; ++k) {
+            h ^= (v >> (8 * k)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+std::uint64_t span_fnv(std::uint64_t span) {
+    const auto lo = -static_cast<std::int64_t>(span / 2);
+    return draws_fnv(lo, lo + static_cast<std::int64_t>(span - 1));
+}
+
+TEST(Rng, UniformIntValuesArePinned) {
+    EXPECT_EQ(span_fnv(1), 0x28c31cf8df2ec325ULL);
+    EXPECT_EQ(span_fnv(2), 0xd89180f380e8158dULL);
+    EXPECT_EQ(span_fnv(3), 0x8b102312ab2a409cULL);
+    EXPECT_EQ(span_fnv(26), 0x6c446227e51e02b4ULL);
+    EXPECT_EQ(span_fnv(4097), 0x49787024769313b2ULL);
+    EXPECT_EQ(span_fnv((1ULL << 32) + 1), 0xf790f570ab31f194ULL);
+}
+
+TEST(Rng, UniformIntWideSpansArePinnedAndInRange) {
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    EXPECT_EQ(draws_fnv(kMin, 0), 0x0b077af807223421ULL);
+    EXPECT_EQ(draws_fnv(-1, kMax), 0x479078acaafd85c6ULL);
+    EXPECT_EQ(draws_fnv(kMin, kMax - 1), 0x7df32493bb42101aULL);
+    EXPECT_EQ(draws_fnv(kMin, kMax), 0x432f5eef2a0f191aULL);  // the full range
+    RngStream rng(7, "wide");
+    bool saw_negative = false, saw_positive = false;
+    for (int i = 0; i < 1000; ++i) {
+        EXPECT_LE(rng.uniform_int(kMin, 0), 0);
+        const std::int64_t v = rng.uniform_int(-1, kMax);
+        EXPECT_GE(v, -1);
+        const std::int64_t w = rng.uniform_int(kMin + 1, kMax);
+        saw_negative |= w < 0;
+        saw_positive |= w > 0;
+    }
+    EXPECT_TRUE(saw_negative);
+    EXPECT_TRUE(saw_positive);
 }
 
 TEST(Rng, UniformIntFuzzRange) {

@@ -31,7 +31,8 @@
 //                     [--seeds N] [--resume] [--idle-timeout-ms N]
 //                     [--spawn-workers N] [...]
 //   zerodeg sweep     --worker --socket PATH --checkpoint FILE
-//                     [--seeds N] [--jobs N] [--net-faults SEED] [...]
+//                     [--seeds N] [--jobs N] [--net-faults SEED]
+//                     [--idle-timeout-ms N] [...]
 //       Distributed census: the coordinator listens on a unix socket,
 //       grants pull-based leases over cell ranges, and journals cells
 //       streamed by worker processes into the merged --checkpoint.  A
@@ -51,6 +52,8 @@
 //       processes sharing the campaign flags and waits for them.
 //       --net-faults injects a deterministic seed-scheduled fault plan
 //       (drops, duplicates, reorders, dropped acks) into the worker's link.
+//       On a worker, --idle-timeout-ms bounds how long it waits for the
+//       coordinator's socket (default 5000; 0 dials once).
 //       --synthetic swaps real seasons for fast deterministic cells.
 //
 //   zerodeg prototype [--seed N]
@@ -517,17 +520,20 @@ int cmd_sweep_worker(const FlagMap& flags, const experiment::CensusPlan& plan) {
     const std::string socket = flags.at("socket");
 
     // Bounded connect-wait: the coordinator may not be listening yet (shell
-    // scripts start both concurrently).  ~5s of 50ms retries, then nullptr —
-    // run_worker degrades to local-journal-only mode, never fails the cells.
-    const auto dial = [socket]() -> std::unique_ptr<core::Transport> {
-        for (int attempt = 0; attempt < 100; ++attempt) {
+    // scripts start both concurrently).  50ms retries for --idle-timeout-ms
+    // (~5s by default), then nullptr — run_worker degrades to
+    // local-journal-only mode, never fails the cells.
+    const std::uint64_t wait_ms = flag_u64(flags, "idle-timeout-ms", 5000);
+    const std::uint64_t retries = wait_ms / 50 + (wait_ms % 50 != 0);
+    const auto dial = [socket, retries]() -> std::unique_ptr<core::Transport> {
+        for (std::uint64_t retry = 0;; ++retry) {
             try {
                 return core::connect_unix(socket);
             } catch (const core::TransportClosed&) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                if (retry == retries) return nullptr;
             }
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
         }
-        return nullptr;
     };
 
     experiment::WorkerOptions opts;
@@ -625,7 +631,7 @@ void synopsis(std::ostream& out) {
            "  sweep     --coordinator --socket PATH --checkpoint FILE [--seeds N]\n"
            "            [--resume] [--idle-timeout-ms N] [--spawn-workers N]\n"
            "  sweep     --worker --socket PATH --checkpoint FILE [--seeds N]\n"
-           "            [--jobs N] [--net-faults SEED]\n"
+           "            [--jobs N] [--net-faults SEED] [--idle-timeout-ms N]\n"
            "            (both sweep modes: [--base-seed B] [--workload archive|traffic]\n"
            "             [--end D] [--synthetic])\n"
            "  prototype [--seed N]\n"
