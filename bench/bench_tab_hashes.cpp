@@ -106,9 +106,10 @@ void bm_load_job_clean_run(benchmark::State& state) {
 BENCHMARK(bm_load_job_clean_run);
 
 // The LoadJob build by stage, on the default corpus: corpus_archive (the
-// corpus written straight into its archive), frost_plan (RLE counts and
-// code lengths) and frost_emit (bits, CRCs, headers), then the first run of
-// a fresh job, which plans only when it is clean and also emits when it
+// corpus written straight into its archive), frost_plan (the word-at-a-time
+// RLE scan into symbol counts, then code lengths) and frost_emit (the same
+// scan into the 64-bit bit packer, CRCs, headers), then the first run of a
+// fresh job, which plans only when it is clean and also emits when it
 // corrupts.
 
 struct DefaultArchive {

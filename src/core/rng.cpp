@@ -6,22 +6,8 @@
 
 namespace zerodeg::core {
 
-std::int64_t RngStream::uniform_int(std::int64_t lo, std::int64_t hi) {
-    if (lo > hi) throw InvalidArgument("RngStream::uniform_int: lo > hi");
-    // Unsigned arithmetic throughout: hi - lo and lo + offset overflow
-    // int64_t for spans wider than 2^63, but wrap exactly in uint64_t, and
-    // the one conversion back is modular (C++20).
-    const auto base = static_cast<std::uint64_t>(lo);
-    const std::uint64_t span = static_cast<std::uint64_t>(hi) - base + 1;
-    if (span == 0) {
-        // Full 64-bit range requested.
-        return static_cast<std::int64_t>(next_u64());
-    }
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t limit = ~0ULL - (~0ULL % span);
-    std::uint64_t r = next_u64();
-    while (r >= limit) r = next_u64();
-    return static_cast<std::int64_t>(base + r % span);
+void RngStream::throw_empty_int_range() {
+    throw InvalidArgument("RngStream::uniform_int: lo > hi");
 }
 
 double RngStream::normal() {

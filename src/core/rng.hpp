@@ -84,8 +84,25 @@ public:
     /// Uniform in [lo, hi).
     [[nodiscard]] double uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
 
-    /// Uniform integer in [lo, hi] (inclusive).
-    [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
+    /// Uniform integer in [lo, hi] (inclusive).  Inline, so that a call
+    /// with a constant span folds its divisions.
+    [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+        if (lo > hi) [[unlikely]] throw_empty_int_range();
+        // Unsigned arithmetic throughout: hi - lo and lo + offset overflow
+        // int64_t for spans wider than 2^63, but wrap exactly in uint64_t,
+        // and the one conversion back is modular (C++20).
+        const auto base = static_cast<std::uint64_t>(lo);
+        const std::uint64_t span = static_cast<std::uint64_t>(hi) - base + 1;
+        if (span == 0) {
+            // Full 64-bit range requested.
+            return static_cast<std::int64_t>(next_u64());
+        }
+        // Rejection sampling to avoid modulo bias.
+        const std::uint64_t limit = ~0ULL - (~0ULL % span);
+        std::uint64_t r = next_u64();
+        while (r >= limit) r = next_u64();
+        return static_cast<std::int64_t>(base + r % span);
+    }
 
     /// Standard normal via Box–Muller (deterministic across platforms).
     [[nodiscard]] double normal();
@@ -103,6 +120,8 @@ public:
     [[nodiscard]] std::uint64_t poisson(double mean);
 
 private:
+    [[noreturn]] static void throw_empty_int_range();
+
     Xoshiro256 engine_;
     bool has_spare_normal_ = false;
     double spare_normal_ = 0.0;

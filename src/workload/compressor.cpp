@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <iterator>
 
@@ -19,42 +20,93 @@ constexpr std::size_t kMinRun = 4;
 constexpr std::size_t kSymbols = 257;  // 256 byte values + EOB
 constexpr std::uint32_t kEob = 256;
 
-/// The one RLE scanner: hands the escape-coded stream of `data` to `sink`
-/// one byte at a time.  rle_encode buffers the stream, frost_plan counts
-/// its symbols and frost_emit Huffman-codes them, so the planner and the
-/// emitter never hold it in memory.
+constexpr std::uint64_t kByteOnes = 0x0101010101010101ULL;
+constexpr std::uint64_t kByteLow7 = 0x7f7f7f7f7f7f7f7fULL;
+constexpr std::uint64_t kByteHigh = 0x8080808080808080ULL;
+
+/// Bytes p[0..7] as one word, p[k] in bits [8k, 8k + 8) on any byte order.
+inline std::uint64_t load_le64(const std::uint8_t* p) {
+    return static_cast<std::uint64_t>(p[0]) | static_cast<std::uint64_t>(p[1]) << 8 |
+           static_cast<std::uint64_t>(p[2]) << 16 | static_cast<std::uint64_t>(p[3]) << 24 |
+           static_cast<std::uint64_t>(p[4]) << 32 | static_cast<std::uint64_t>(p[5]) << 40 |
+           static_cast<std::uint64_t>(p[6]) << 48 | static_cast<std::uint64_t>(p[7]) << 56;
+}
+
+/// The high bit of every zero byte of `v`.  Exact: no carry crosses a byte.
+constexpr std::uint64_t zero_bytes(std::uint64_t v) {
+    return ~(((v & kByteLow7) + kByteLow7) | v) & kByteHigh;
+}
+
+/// Whether position i of data[0, n) is flagged: its byte is kEsc, or it
+/// starts a run of kMinRun or more.  Every other position is a literal.
+bool flagged(const std::uint8_t* data, std::size_t i, std::size_t n) {
+    const std::uint8_t b = data[i];
+    return b == kEsc ||
+           (i + 3 < n && data[i + 1] == b && data[i + 2] == b && data[i + 3] == b);
+}
+
+/// The first flagged position of data[i, n), or n.  Tests 8 positions per
+/// step while the 11 bytes a step reads remain, then one at a time.
+std::size_t next_flagged(const std::uint8_t* data, std::size_t i, std::size_t n) {
+    for (; i + 11 <= n; i += 8) {
+        // Byte k of w, w1, w2, w3 is data[i + k], data[i + k + 1], ...
+        const std::uint64_t w = load_le64(data + i);
+        const std::uint64_t w1 = load_le64(data + i + 1);
+        const std::uint64_t w2 = load_le64(data + i + 2);
+        const std::uint64_t w3 = load_le64(data + i + 3);
+        const std::uint64_t hits =
+            zero_bytes((w ^ w1) | (w ^ w2) | (w ^ w3)) | zero_bytes(w ^ (kEsc * kByteOnes));
+        if (hits != 0) return i + static_cast<std::size_t>(std::countr_zero(hits)) / 8;
+    }
+    while (i < n && !flagged(data, i, n)) ++i;
+    return i;
+}
+
+/// The one RLE scanner: hands the escape-coded stream of `data` to `sink`,
+/// each stretch of literals as one call to sink.literals(bytes, count) and
+/// each escape triple (kEsc, value, count) as sink.escape(value, count).
+/// rle_encode buffers the stream, frost_plan counts its symbols and
+/// frost_emit Huffman-codes them, so the planner and the emitter never hold
+/// it in memory.
 template <class Sink>
-void rle_scan(std::span<const std::uint8_t> data, Sink&& sink) {
+void rle_scan(std::span<const std::uint8_t> data, Sink& sink) {
+    const std::uint8_t* p = data.data();
     const std::size_t n = data.size();
     std::size_t i = 0;
     while (i < n) {
-        const std::uint8_t b = data[i];
-        if (b != kEsc && (i + 1 == n || data[i + 1] != b)) {
-            // A literal that does not start a run: the common case.
-            sink(b);
-            ++i;
-            continue;
-        }
+        const std::size_t f = next_flagged(p, i, n);
+        if (f > i) sink.literals(p + i, f - i);
+        if (f == n) return;
+        const std::uint8_t b = p[f];
         std::size_t run = 1;
         // Longest encodable run: count byte 255 => 255 + kMinRun - 1 bytes.
-        while (i + run < n && data[i + run] == b && run < 254 + kMinRun) ++run;
+        while (f + run < n && p[f + run] == b && run < 254 + kMinRun) ++run;
         if (run >= kMinRun) {
-            sink(kEsc);
-            sink(b);
-            sink(static_cast<std::uint8_t>(run - kMinRun + 1));  // 1..255
-            i += run;
-        } else if (b == kEsc) {
-            // Escaped literal escape byte: run field 0.
-            sink(kEsc);
-            sink(kEsc);
-            sink(std::uint8_t{0});
-            ++i;
+            sink.escape(b, static_cast<std::uint8_t>(run - kMinRun + 1));  // 1..255
+            i = f + run;
         } else {
-            sink(b);
-            ++i;
+            // A lone escape byte (flagged for no run): run field 0.
+            sink.escape(kEsc, 0);
+            i = f + 1;
         }
     }
 }
+
+/// rle_scan's sink for rle_encode: the stream, byte for byte.
+struct RleBytes {
+    std::uint8_t* out;
+
+    void literals(const std::uint8_t* bytes, std::size_t count) {
+        std::memcpy(out, bytes, count);
+        out += count;
+    }
+    void escape(std::uint8_t value, std::uint8_t count) {
+        out[0] = kEsc;
+        out[1] = value;
+        out[2] = count;
+        out += 3;
+    }
+};
 
 }  // namespace
 
@@ -62,9 +114,9 @@ std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data) {
     // Every input byte takes at most three output bytes (an escaped escape
     // byte), so one buffer of that size holds any encoding.
     std::vector<std::uint8_t> out(3 * data.size());
-    std::uint8_t* o = out.data();
-    rle_scan(data, [&o](std::uint8_t b) { *o++ = b; });
-    out.resize(static_cast<std::size_t>(o - out.data()));
+    RleBytes sink{out.data()};
+    rle_scan(data, sink);
+    out.resize(static_cast<std::size_t>(sink.out - out.data()));
     return out;
 }
 
@@ -91,41 +143,6 @@ std::vector<std::uint8_t> rle_decode(std::span<const std::uint8_t> data) {
         }
     }
     return out;
-}
-
-void BitWriter::grow(std::size_t more) {
-    bytes_.resize(std::max<std::size_t>(2 * bytes_.size(), size_ + more + 64));
-}
-
-void BitWriter::put_bytes(std::span<const std::uint8_t> bytes) {
-    if (acc_bits_ % 8 != 0) throw core::InvalidArgument("BitWriter::put_bytes: not byte-aligned");
-    const std::size_t pending = static_cast<std::size_t>(acc_bits_ / 8);
-    if (bytes_.size() - size_ < pending + bytes.size()) grow(pending + bytes.size());
-    while (acc_bits_ > 0) {
-        acc_bits_ -= 8;
-        bytes_[size_++] = static_cast<std::uint8_t>((acc_ >> acc_bits_) & 0xff);
-    }
-    if (!bytes.empty()) std::memcpy(bytes_.data() + size_, bytes.data(), bytes.size());
-    size_ += bytes.size();
-}
-
-void BitWriter::throw_bad_count() { throw core::InvalidArgument("BitWriter::put: bad count"); }
-
-std::vector<std::uint8_t> BitWriter::finish() {
-    // At most 31 pending bits: whole bytes, then the last partial byte,
-    // zero-padded at its low end.
-    bytes_.resize(size_);
-    while (acc_bits_ >= 8) {
-        acc_bits_ -= 8;
-        bytes_.push_back(static_cast<std::uint8_t>((acc_ >> acc_bits_) & 0xff));
-    }
-    if (acc_bits_ > 0) {
-        bytes_.push_back(static_cast<std::uint8_t>((acc_ << (8 - acc_bits_)) & 0xff));
-    }
-    acc_ = 0;
-    acc_bits_ = 0;
-    size_ = 0;
-    return std::move(bytes_);
 }
 
 void BitReader::fill() {
@@ -157,32 +174,41 @@ int BitReader::peek(int want, std::uint32_t& window) {
 bool BitReader::exhausted() const { return pos_ >= bytes_.size() && buf_bits_ == 0; }
 
 std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> freq) {
-    // Two queues instead of a heap: the leaves sorted by (weight, symbol),
-    // and the merged nodes in the order they are made, which is also
-    // nondecreasing weight.  Taking the leaf on a weight tie reproduces the
-    // heap's (weight, creation index) order, since every leaf is created
-    // before every merged node.
-    std::vector<std::uint32_t> symbols;
-    for (std::size_t s = 0; s < freq.size(); ++s) {
-        if (freq[s] != 0) symbols.push_back(static_cast<std::uint32_t>(s));
+    if (freq.size() > kSymbols) {
+        throw core::InvalidArgument("huffman_code_lengths: more than 257 symbols");
     }
-    if (symbols.empty()) throw core::InvalidArgument("huffman_code_lengths: no symbols");
+    // Each leaf is one key, weight << 9 | symbol, so one sort puts the
+    // leaves in (weight, symbol) order.
+    std::array<std::uint64_t, kSymbols> keys{};
+    std::size_t leaves = 0;
+    for (std::size_t s = 0; s < freq.size(); ++s) {
+        if (freq[s] == 0) continue;
+        if (freq[s] >> 55 != 0) throw core::InvalidArgument("huffman_code_lengths: weight too large");
+        keys[leaves++] = freq[s] << 9 | s;
+    }
+    if (leaves == 0) throw core::InvalidArgument("huffman_code_lengths: no symbols");
 
     std::vector<std::uint8_t> lengths(freq.size(), 0);
-    const std::size_t leaves = symbols.size();
+    const auto symbol_of = [&keys](std::size_t k) { return keys[k] & 0x1ff; };
     if (leaves == 1) {
-        lengths[symbols[0]] = 1;
+        lengths[symbol_of(0)] = 1;
         return lengths;
     }
-    std::stable_sort(symbols.begin(), symbols.end(),
-                     [&freq](std::uint32_t a, std::uint32_t b) { return freq[a] < freq[b]; });
+    std::sort(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(leaves));
 
-    // Nodes [0, leaves) are the sorted leaves, [leaves, 2 * leaves - 1) the
-    // merged nodes in creation order; the last one is the root.
+    // Two queues instead of a heap: the sorted leaves, and the merged nodes
+    // in the order they are made, which is also nondecreasing weight.
+    // Taking the leaf on a weight tie reproduces the heap's (weight,
+    // creation index) order, since every leaf is created before every
+    // merged node.  Nodes [0, leaves) are the sorted leaves, [leaves,
+    // 2 * leaves - 1) the merged nodes in creation order; the last one is
+    // the root.
+    constexpr std::size_t kMaxNodes = 2 * kSymbols - 1;
+    std::array<std::uint64_t, kMaxNodes> weight{};
+    std::array<std::uint16_t, kMaxNodes> parent{};
+    std::array<std::uint16_t, kMaxNodes> depth{};
     const std::size_t nodes = 2 * leaves - 1;
-    std::vector<std::uint64_t> weight(nodes);
-    std::vector<std::size_t> parent(nodes, 0);
-    for (std::size_t k = 0; k < leaves; ++k) weight[k] = freq[symbols[k]];
+    for (std::size_t k = 0; k < leaves; ++k) weight[k] = keys[k] >> 9;
     std::size_t next_leaf = 0;
     std::size_t next_merged = leaves;
     std::size_t created = leaves;
@@ -197,38 +223,47 @@ std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> fr
         const std::size_t a = take_lightest();
         const std::size_t b = take_lightest();
         weight[created] = weight[a] + weight[b];
-        parent[a] = created;
-        parent[b] = created;
+        parent[a] = static_cast<std::uint16_t>(created);
+        parent[b] = static_cast<std::uint16_t>(created);
         ++created;
     }
     // Depths from the root down: every parent is made after its children.
-    std::vector<int> depth(nodes, 0);
-    for (std::size_t k = nodes - 1; k-- > 0;) depth[k] = depth[parent[k]] + 1;
+    for (std::size_t k = nodes - 1; k-- > 0;) {
+        depth[k] = static_cast<std::uint16_t>(depth[parent[k]] + 1);
+    }
     for (std::size_t k = 0; k < leaves; ++k) {
-        lengths[symbols[k]] = static_cast<std::uint8_t>(depth[k]);
+        lengths[symbol_of(k)] = static_cast<std::uint8_t>(depth[k]);
     }
     return lengths;
 }
 
-std::vector<std::uint32_t> canonical_codes(const std::vector<std::uint8_t>& lengths) {
-    int max_len = 0;
-    for (const std::uint8_t l : lengths) max_len = std::max(max_len, static_cast<int>(l));
-    if (max_len > 32) throw core::InvalidArgument("canonical_codes: code too long");
+namespace {
 
-    std::vector<std::uint32_t> length_count(static_cast<std::size_t>(max_len) + 1, 0);
+/// Canonical codes for `lengths` into codes[0, lengths.size()); a symbol
+/// of length 0 gets code 0.
+void assign_canonical_codes(std::span<const std::uint8_t> lengths, std::uint32_t* codes) {
+    std::array<std::uint32_t, 33> length_count{};
     for (const std::uint8_t l : lengths) {
-        if (l > 0) ++length_count[l];
+        if (l > 32) throw core::InvalidArgument("canonical_codes: code too long");
+        ++length_count[l];
     }
-    std::vector<std::uint32_t> next_code(static_cast<std::size_t>(max_len) + 1, 0);
+    length_count[0] = 0;
+    std::array<std::uint32_t, 33> next_code{};
     std::uint32_t code = 0;
-    for (int len = 1; len <= max_len; ++len) {
-        code = (code + length_count[static_cast<std::size_t>(len) - 1]) << 1;
-        next_code[static_cast<std::size_t>(len)] = code;
+    for (std::size_t len = 1; len <= 32; ++len) {
+        code = (code + length_count[len - 1]) << 1;
+        next_code[len] = code;
     }
-    std::vector<std::uint32_t> codes(lengths.size(), 0);
     for (std::size_t s = 0; s < lengths.size(); ++s) {
-        if (lengths[s] > 0) codes[s] = next_code[lengths[s]]++;
+        codes[s] = lengths[s] > 0 ? next_code[lengths[s]]++ : 0;
     }
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> canonical_codes(const std::vector<std::uint8_t>& lengths) {
+    std::vector<std::uint32_t> codes(lengths.size());
+    assign_canonical_codes(lengths, codes.data());
     return codes;
 }
 
@@ -313,7 +348,7 @@ public:
             const std::uint32_t code = window >> (have - len);
             const std::uint32_t first = first_code_[static_cast<std::size_t>(len)];
             const std::uint32_t n = count_[static_cast<std::size_t>(len)];
-            if (n > 0 && code >= first && code < first + n) {
+            if (code >= first && code - first < n) {  // first + n may wrap at 32 bits
                 reader.consume(len);
                 return symbols_by_code_[first_index_[static_cast<std::size_t>(len)] +
                                         (code - first)];
@@ -380,6 +415,126 @@ void put_u32(std::uint8_t* out, std::uint32_t v) {
     out[3] = static_cast<std::uint8_t>((v >> 24) & 0xff);
 }
 
+/// rle_scan's sink for frost_plan: a block's symbol counts.  Literals are
+/// counted into four interleaved tables, so that neighbouring bytes of one
+/// value do not wait on each other's increments; escape triples go straight
+/// into `freq`.  A lane takes at most a quarter of a block's bytes, so its
+/// 32-bit counts do not overflow for any block size a container can record.
+struct SymbolCounts {
+    std::array<std::array<std::uint32_t, 256>, 4> lanes{};
+    std::array<std::uint64_t, frost_detail::kSymbols> freq{};
+
+    void literals(const std::uint8_t* bytes, std::size_t count) {
+        std::size_t k = 0;
+        for (; k + 4 <= count; k += 4) {
+            ++lanes[0][bytes[k]];
+            ++lanes[1][bytes[k + 1]];
+            ++lanes[2][bytes[k + 2]];
+            ++lanes[3][bytes[k + 3]];
+        }
+        for (; k < count; ++k) ++lanes[0][bytes[k]];
+    }
+    void escape(std::uint8_t value, std::uint8_t count) {
+        ++freq[frost_detail::kEsc];
+        ++freq[value];
+        ++freq[count];
+    }
+    /// Fold the lanes into `freq`.
+    void merge() {
+        for (std::size_t s = 0; s < 256; ++s) {
+            freq[s] += std::uint64_t{lanes[0][s]} + lanes[1][s] + lanes[2][s] + lanes[3][s];
+        }
+    }
+};
+
+[[noreturn]] void refuse_other_data() {
+    throw core::InvalidArgument("frost_emit: the plan is for other data");
+}
+
+/// rle_scan's sink for frost_emit: Huffman-codes the stream MSB-first into
+/// a payload that must end at `end`.  table[s] holds symbol s's code
+/// left-aligned in its high bits and its length in the low byte, 0 for a
+/// symbol the plan gave no code.
+///
+/// The pending bits sit left-aligned in a 64-bit accumulator, fewer than 8
+/// of them between codes.  After each code the accumulator is stored as 8
+/// big-endian bytes and the write position moves on by the whole bytes it
+/// holds, so there is no flush branch; the bytes past those are rewritten
+/// by the next store.  A code is at most 32 bits, so a store reaches at
+/// most 4 bytes past the position before the code, plus 8.
+///
+/// Data the plan was not made from codes to another size or meets an
+/// uncoded symbol.  Both are tested before every escape and every 16
+/// literals, not per code, so the writer can overshoot `end` by at most
+/// kOvershoot bytes before it refuses; frost_emit's buffer has that slack.
+class BitPacker {
+public:
+    static constexpr std::size_t kChunk = 16;
+    static constexpr std::size_t kOvershoot = kChunk * 4 + 8;
+
+    BitPacker(const std::uint64_t* table, std::uint8_t* out, const std::uint8_t* end)
+        : table_(table), state_{out}, end_(end) {}
+
+    void literals(const std::uint8_t* bytes, std::size_t count) {
+        State st = state_;  // a local copy stays in registers across the loop
+        while (count > 0) {
+            check(st);
+            const std::size_t chunk = std::min(count, kChunk);
+            for (std::size_t k = 0; k < chunk; ++k) st.put(table_[bytes[k]]);
+            bytes += chunk;
+            count -= chunk;
+        }
+        state_ = st;
+    }
+    void escape(std::uint8_t value, std::uint8_t count) {
+        check(state_);
+        state_.put(table_[frost_detail::kEsc]);
+        state_.put(table_[value]);
+        state_.put(table_[count]);
+    }
+    /// Code the end-of-block symbol and pad to a byte: the payload's end.
+    std::uint8_t* finish() {
+        check(state_);
+        state_.put(table_[frost_detail::kEob]);
+        if (state_.uncoded != 0) refuse_other_data();
+        return state_.out + (state_.bits > 0 ? 1 : 0);
+    }
+
+private:
+    struct State {
+        std::uint8_t* out;
+        std::uint64_t acc = 0;   ///< pending bits, left-aligned
+        unsigned bits = 0;       ///< how many are pending, < 8 between codes
+        unsigned uncoded = 0;    ///< nonzero once a symbol had no code
+
+        void put(std::uint64_t entry) {
+            const auto len = static_cast<unsigned>(entry & 0xff);
+            uncoded |= static_cast<unsigned>(len == 0);
+            acc |= (entry & ~std::uint64_t{0xff}) >> bits;
+            bits += len;
+            out[0] = static_cast<std::uint8_t>(acc >> 56);
+            out[1] = static_cast<std::uint8_t>(acc >> 48);
+            out[2] = static_cast<std::uint8_t>(acc >> 40);
+            out[3] = static_cast<std::uint8_t>(acc >> 32);
+            out[4] = static_cast<std::uint8_t>(acc >> 24);
+            out[5] = static_cast<std::uint8_t>(acc >> 16);
+            out[6] = static_cast<std::uint8_t>(acc >> 8);
+            out[7] = static_cast<std::uint8_t>(acc);
+            out += bits >> 3;
+            acc <<= bits & ~7u;
+            bits &= 7;
+        }
+    };
+
+    void check(const State& st) const {
+        if (st.out > end_ || st.uncoded != 0) [[unlikely]] refuse_other_data();
+    }
+
+    const std::uint64_t* table_;
+    State state_;
+    const std::uint8_t* end_;
+};
+
 std::uint32_t get_u32(std::span<const std::uint8_t> bytes, std::size_t off) {
     if (off + 4 > bytes.size()) throw core::CorruptData("frost: truncated integer");
     return static_cast<std::uint32_t>(bytes[off]) |
@@ -406,20 +561,27 @@ FrostPlan frost_plan(std::span<const std::uint8_t> data, CompressorConfig config
         const std::size_t off = b * config.block_size;
         const std::size_t len = std::min(config.block_size, data.size() - off);
 
-        std::array<std::uint64_t, frost_detail::kSymbols> freq{};
-        frost_detail::rle_scan(data.subspan(off, len), [&freq](std::uint8_t s) { ++freq[s]; });
+        SymbolCounts counts;
+        frost_detail::rle_scan(data.subspan(off, len), counts);
+        counts.merge();
+        std::array<std::uint64_t, frost_detail::kSymbols>& freq = counts.freq;
         freq[frost_detail::kEob] = 1;
         std::vector<std::uint8_t> lengths = frost_detail::huffman_code_lengths(freq);
 
         // The payload is the 257-byte length table plus sum(freq * length)
-        // bits; one that is not smaller than the block is stored raw.
+        // bits; one that is not smaller than the block is stored raw, and so
+        // is one with a code the decoder cannot read.
         std::uint64_t bits = 0;
-        for (std::size_t s = 0; s < frost_detail::kSymbols; ++s) bits += freq[s] * lengths[s];
+        std::uint8_t longest = 0;
+        for (std::size_t s = 0; s < frost_detail::kSymbols; ++s) {
+            bits += freq[s] * lengths[s];
+            longest = std::max(longest, lengths[s]);
+        }
         const std::uint64_t coded = frost_detail::kSymbols + (bits + 7) / 8;
 
         FrostBlockPlan block;
         block.orig_size = static_cast<std::uint32_t>(len);
-        if (coded < len) {
+        if (coded < len && longest <= 32) {
             block.method = 1;
             block.comp_size = static_cast<std::uint32_t>(coded);
             block.lengths = std::move(lengths);
@@ -435,49 +597,59 @@ FrostPlan frost_plan(std::span<const std::uint8_t> data, CompressorConfig config
 
 std::vector<std::uint8_t> frost_emit(std::span<const std::uint8_t> data, const FrostPlan& plan) {
     const std::size_t blocks = frost_block_count(data.size(), plan.config);
-    if (data.size() != plan.data_size || plan.blocks.size() != blocks) {
-        throw core::InvalidArgument("frost_emit: the plan is for other data");
+    if (data.size() != plan.data_size || plan.blocks.size() != blocks) refuse_other_data();
+    // The buffer is sized from container_bytes, so it must be what the
+    // blocks add up to; the slack takes a refused payload's overshoot.
+    std::size_t total = kStreamHeaderBytes;
+    for (const FrostBlockPlan& bp : plan.blocks) total += kBlockHeaderBytes + bp.comp_size;
+    if (total != plan.container_bytes) {
+        throw core::InvalidArgument("frost_emit: the plan's blocks do not add up to its size");
     }
-    frost_detail::BitWriter out(plan.container_bytes);
-    std::array<std::uint8_t, kStreamHeaderBytes> stream_header{};
-    std::copy(std::begin(kStreamMagic), std::end(kStreamMagic), stream_header.begin());
-    put_u32(stream_header.data() + 4, static_cast<std::uint32_t>(blocks));
-    put_u32(stream_header.data() + 8, static_cast<std::uint32_t>(plan.config.block_size));
-    out.put_bytes(stream_header);
+    std::vector<std::uint8_t> out(plan.container_bytes + BitPacker::kOvershoot);
+    std::uint8_t* o = out.data();
+    std::copy(std::begin(kStreamMagic), std::end(kStreamMagic), o);
+    put_u32(o + 4, static_cast<std::uint32_t>(blocks));
+    put_u32(o + 8, static_cast<std::uint32_t>(plan.config.block_size));
+    o += kStreamHeaderBytes;
 
+    std::array<std::uint32_t, frost_detail::kSymbols> codes{};
+    std::array<std::uint64_t, frost_detail::kSymbols> table{};
     for (std::size_t b = 0; b < blocks; ++b) {
         const FrostBlockPlan& bp = plan.blocks[b];
         const std::size_t off = b * plan.config.block_size;
         const auto block = data.subspan(off, std::min(plan.config.block_size, data.size() - off));
 
-        std::array<std::uint8_t, kBlockHeaderBytes> header{};
-        put_u32(header.data(), kBlockMagic);
-        put_u32(header.data() + 4, static_cast<std::uint32_t>(block.size()));
-        put_u32(header.data() + 8, bp.comp_size);
-        put_u32(header.data() + 12, crc32(block));
-        header[16] = bp.method;
-        out.put_bytes(header);
-        const std::size_t payload_end = out.bytes_written() + bp.comp_size;
+        put_u32(o, kBlockMagic);
+        put_u32(o + 4, static_cast<std::uint32_t>(block.size()));
+        put_u32(o + 8, bp.comp_size);
+        put_u32(o + 12, crc32(block));
+        o[16] = bp.method;
+        o += kBlockHeaderBytes;
+        std::uint8_t* const payload_end = o + bp.comp_size;
 
         if (bp.method == 0) {
-            out.put_bytes(block);
+            if (block.size() != bp.comp_size) refuse_other_data();
+            std::memcpy(o, block.data(), block.size());
+            o += block.size();
         } else if (bp.method == 1 && bp.lengths.size() == frost_detail::kSymbols) {
-            out.put_bytes(bp.lengths);
-            const std::vector<std::uint32_t> codes = frost_detail::canonical_codes(bp.lengths);
-            const std::uint8_t* lengths = bp.lengths.data();
-            frost_detail::rle_scan(block, [&out, &codes, lengths](std::uint8_t s) {
-                out.put(codes[s], lengths[s]);
-            });
-            out.put(codes[frost_detail::kEob], lengths[frost_detail::kEob]);
-            out.align();
+            if (bp.comp_size < frost_detail::kSymbols) refuse_other_data();
+            std::memcpy(o, bp.lengths.data(), frost_detail::kSymbols);
+            o += frost_detail::kSymbols;
+            frost_detail::assign_canonical_codes(bp.lengths, codes.data());
+            for (std::size_t s = 0; s < frost_detail::kSymbols; ++s) {
+                const unsigned len = bp.lengths[s];
+                table[s] = len == 0 ? 0 : (std::uint64_t{codes[s]} << (64 - len)) | len;
+            }
+            BitPacker packer(table.data(), o, payload_end);
+            frost_detail::rle_scan(block, packer);
+            o = packer.finish();
         } else {
             throw core::InvalidArgument("frost_emit: malformed block plan");
         }
-        if (out.bytes_written() != payload_end) {
-            throw core::InvalidArgument("frost_emit: the plan is for other data");
-        }
+        if (o != payload_end) refuse_other_data();
     }
-    return out.finish();
+    out.resize(plan.container_bytes);
+    return out;
 }
 
 std::vector<std::uint8_t> frost_compress(std::span<const std::uint8_t> data,

@@ -23,7 +23,9 @@
 // method and payload size, and the container's size, without writing a
 // byte.  frost_emit writes the container from the data and its plan, reusing
 // the plan's code lengths: bits, CRCs and headers.  frost_compress is plan
-// then emit.  Neither stage keeps the RLE stream in memory.
+// then emit.  Neither stage keeps the RLE stream in memory.  A block is
+// stored raw when coding would not make it smaller, or when its longest
+// code would be over 32 bits, the longest the decoder reads.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +72,8 @@ struct FrostPlan {
 
 /// Write the container `plan` describes.  `data` must be the bytes the plan
 /// was made from; throws InvalidArgument when its size or a block's coded
-/// size disagrees with the plan.
+/// size disagrees with the plan, or a block holds a symbol the plan gave no
+/// code.
 [[nodiscard]] std::vector<std::uint8_t> frost_emit(std::span<const std::uint8_t> data,
                                                    const FrostPlan& plan);
 
@@ -102,58 +105,7 @@ namespace frost_detail {
 [[nodiscard]] std::vector<std::uint8_t> rle_encode(std::span<const std::uint8_t> data);
 [[nodiscard]] std::vector<std::uint8_t> rle_decode(std::span<const std::uint8_t> data);
 
-/// MSB-first bit writer/reader.
-class BitWriter {
-public:
-    BitWriter() = default;
-    /// Room for `expected_bytes` before the buffer has to grow.
-    explicit BitWriter(std::size_t expected_bytes) : bytes_(expected_bytes) {}
-
-    /// Append the low `count` bits of `bits`, most significant first.
-    /// `count` must be in [0, 32].  Inline: the encoder calls it per symbol.
-    void put(std::uint32_t bits, int count) {
-        if (count < 0 || count > 32) [[unlikely]] throw_bad_count();
-        // Whole 32-bit words leave the accumulator as soon as they fill;
-        // bits above acc_bits_ are stale and never read.
-        acc_ = (acc_ << count) | (static_cast<std::uint64_t>(bits) & ((1ull << count) - 1));
-        acc_bits_ += count;
-        if (acc_bits_ >= 32) {
-            acc_bits_ -= 32;
-            if (bytes_.size() - size_ < 4) [[unlikely]] grow(4);
-            const auto word = static_cast<std::uint32_t>(acc_ >> acc_bits_);
-            std::uint8_t* out = bytes_.data() + size_;
-            out[0] = static_cast<std::uint8_t>(word >> 24);
-            out[1] = static_cast<std::uint8_t>(word >> 16);
-            out[2] = static_cast<std::uint8_t>(word >> 8);
-            out[3] = static_cast<std::uint8_t>(word);
-            size_ += 4;
-        }
-    }
-    /// Zero-pad the pending bits to a byte boundary.
-    void align() {
-        if (acc_bits_ % 8 != 0) put(0, 8 - acc_bits_ % 8);
-    }
-    /// Append whole bytes; the writer must be byte-aligned (see align()).
-    void put_bytes(std::span<const std::uint8_t> bytes);
-    /// Bytes finish() would hand back now.
-    [[nodiscard]] std::size_t bytes_written() const {
-        return size_ + static_cast<std::size_t>((acc_bits_ + 7) / 8);
-    }
-    /// Flush the pending bits, zero-padding the last byte, and hand back
-    /// the buffer.
-    [[nodiscard]] std::vector<std::uint8_t> finish();
-
-private:
-    [[noreturn]] static void throw_bad_count();
-    /// Make room for at least `more` bytes past size_.
-    void grow(std::size_t more);
-
-    std::vector<std::uint8_t> bytes_;  ///< bytes_[0, size_) written, the rest room
-    std::size_t size_ = 0;
-    std::uint64_t acc_ = 0;  ///< pending bits in its low acc_bits_ bits
-    int acc_bits_ = 0;       ///< always < 32 between calls
-};
-
+/// MSB-first bit reader.
 class BitReader {
 public:
     explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -179,7 +131,8 @@ private:
 };
 
 /// Huffman code lengths for the given symbol frequencies (0 frequency =>
-/// length 0 / absent).  At least one symbol must have nonzero frequency.
+/// length 0 / absent).  At least one symbol must have nonzero frequency;
+/// there are at most 257 symbols, each frequency below 2^55.
 /// Merges the two lightest subtrees first, ties going to the leaf, then the
 /// lower symbol, then the earlier merge: the tree a heap ordered by (weight,
 /// creation index) builds.
