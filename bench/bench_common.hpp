@@ -30,6 +30,8 @@
 #include <string>
 
 #include "core/bench_clock.hpp"
+#include "core/csv.hpp"
+#include "core/error.hpp"
 #include "core/io.hpp"
 #include "core/task_pool.hpp"
 #include "experiment/parallel_census.hpp"
@@ -71,6 +73,18 @@ inline std::uint64_t& fault_seed_storage() {
 /// FaultyFs seed from `--inject-faults SEED`; 0 = no injection.
 [[nodiscard]] inline std::uint64_t fault_seed() { return detail::fault_seed_storage(); }
 
+/// The value of `--name` as a nonnegative integer; exits 2 naming the flag
+/// otherwise, as the CLI does.
+inline std::uint64_t flag_u64(const char* name, const std::string& value) {
+    try {
+        return core::parse_csv_u64(value);
+    } catch (const core::Error&) {
+        std::cerr << "error: --" << name << " wants a nonnegative integer, got '" << value
+                  << "'\n";
+        std::exit(2);
+    }
+}
+
 /// Strip the sweep flags (`--jobs N`, `--checkpoint FILE`, `--resume`,
 /// `--inject-faults SEED`) out of argv — so google-benchmark never sees
 /// them — and record the values.
@@ -92,11 +106,11 @@ inline void parse_sweep_flags(int& argc, char** argv) {
             continue;
         }
         if (arg.rfind("--inject-faults=", 0) == 0) {
-            detail::fault_seed_storage() = std::strtoull(arg.c_str() + 16, nullptr, 10);
+            detail::fault_seed_storage() = flag_u64("inject-faults", arg.substr(16));
             continue;
         }
         if (arg == "--inject-faults" && i + 1 < argc) {
-            detail::fault_seed_storage() = std::strtoull(argv[++i], nullptr, 10);
+            detail::fault_seed_storage() = flag_u64("inject-faults", argv[++i]);
             continue;
         }
         if (arg.rfind("--jobs=", 0) == 0) {
@@ -107,9 +121,9 @@ inline void parse_sweep_flags(int& argc, char** argv) {
             argv[out++] = argv[i];
             continue;
         }
-        const long long v = std::atoll(value.c_str());
+        const std::uint64_t v = flag_u64("jobs", value);
         detail::jobs_storage() =
-            v <= 0 ? core::TaskPool::hardware_workers() : static_cast<std::size_t>(v);
+            v == 0 ? core::TaskPool::hardware_workers() : static_cast<std::size_t>(v);
     }
     argc = out;
     if (detail::resume_storage() && detail::checkpoint_storage().empty()) {

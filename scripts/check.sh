@@ -30,14 +30,18 @@
 #   5. a compose smoke: sanitizers + -Werror configured together must build
 #      (sanitizer instrumentation must not be broken by the warning gate)
 #   6. clang-tidy over the exported compile database, when clang-tidy exists
-#   7. the perf gate: bench_perf_tick in a Release tree (build-bench/) with
-#      fixed seeds/repeats, compared against BENCH_baseline.json by
-#      scripts/compare_bench.py — any metric >25% below baseline fails; a
-#      missing baseline is recorded on the first run
+#   7. the perf gate, a same-host A/B: scripts/perf_pairs.py runs the
+#      held-out census (base seed 20110219) on the merge base with main and
+#      on the working tree and byte-compares stdout and journal, then runs
+#      alternating pairs of every BENCHMARK.json workload through
+#      perfbench/run.py.  It fails on any failed run or cell, and on an
+#      end-to-end metric whose median pair ratio is past its BENCHMARK.json
+#      bound with the tree worse in every pair, confirmed over a second
+#      round of pairs (about 10 minutes)
 #
 # This is the sanitizer matrix PRs 1-2 documented as manual steps, made
 # executable.  Every build tree is separate (build/, build-tsan/, build-asan/,
-# build-asan-werror/, build-bench/) so switching configurations never causes a full rebuild
+# build-asan-werror/, build-perf/) so switching configurations never causes a full rebuild
 # of another.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -147,10 +151,7 @@ else
     echo "clang-tidy not installed; skipping (config: .clang-tidy)" >&2
 fi
 
-echo "=== [7/7] perf gate: bench_perf_tick vs BENCH_baseline.json ===" >&2
-run cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
-run cmake --build build-bench -j "$JOBS" --target bench_perf_tick
-run ./build-bench/bench/bench_perf_tick --seeds 4 --repeat 3 --jobs 1 --out build-bench/BENCH_tick.json
-run python3 scripts/compare_bench.py build-bench/BENCH_tick.json BENCH_baseline.json
+echo "=== [7/7] perf gate: merge base against the tree, same host (perfbench pairs) ===" >&2
+run python3 scripts/perf_pairs.py
 
 echo "check.sh: all gates passed" >&2

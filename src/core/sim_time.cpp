@@ -7,10 +7,11 @@
 namespace zerodeg::core {
 
 std::int64_t days_from_civil(int y, int m, int d) {
-    // Howard Hinnant, "chrono-Compatible Low-Level Date Algorithms".
-    y -= m <= 2;
-    const std::int64_t era = (y >= 0 ? y : y - 399) / 400;
-    const unsigned yoe = static_cast<unsigned>(y - era * 400);                       // [0, 399]
+    // Howard Hinnant, "chrono-Compatible Low-Level Date Algorithms".  The year
+    // is widened first: INT_MIN - 1 must not overflow.
+    const std::int64_t ys = std::int64_t{y} - (m <= 2);
+    const std::int64_t era = (ys >= 0 ? ys : ys - 399) / 400;
+    const unsigned yoe = static_cast<unsigned>(ys - era * 400);                      // [0, 399]
     const unsigned doy = (153u * static_cast<unsigned>(m + (m > 2 ? -3 : 9)) + 2) / 5 +
                          static_cast<unsigned>(d) - 1;                               // [0, 365]
     const unsigned doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;                      // [0, 146096]

@@ -69,7 +69,7 @@ WorkerReport run_worker(const CensusPlan& plan, const ShardSpec& spec,
     // partial) resume point for a plain local run of the whole sweep, and the
     // coordinator can validate the HELLO against the identical key.
     const SweepJournalKey key = ParallelCensus(plan, 1).journal_key();
-    SweepJournal journal(journal_path, key, opts.resume, opts.fs);
+    SweepJournal journal(journal_path, key, /*resume=*/true, opts.fs);
 
     const SweepRunner runner(opts.jobs);
     std::set<std::size_t> touched;  ///< distinct cells this run handled
@@ -405,6 +405,9 @@ CensusResult CoordinatorService::result() const {
 
 namespace {
 
+/// Tries for each reply frame a faulty link swallows as TransientError.
+constexpr int kReplyAttempts = 4;
+
 /// Coordinator-side view of one worker link.
 struct LinkState {
     std::unique_ptr<core::Transport> link;
@@ -444,11 +447,10 @@ CoordinatorReport CoordinatorService::serve(core::Listener& listener) {
     };
 
     // Bounded reply: a faulty link may swallow sends as TransientError — the
-    // worker's resend / re-pull covers an abandoned reply.  TransportClosed
-    // propagates.
+    // worker's resend / re-pull covers a reply abandoned after kReplyAttempts
+    // tries.  TransportClosed propagates.
     const auto reply = [&](core::Transport& link, const std::string& frame) -> bool {
-        const int attempts = im.opts.reply_attempts < 1 ? 1 : im.opts.reply_attempts;
-        for (int attempt = 0; attempt < attempts; ++attempt) {
+        for (int attempt = 0; attempt < kReplyAttempts; ++attempt) {
             try {
                 link.send(frame);
                 return true;
@@ -461,12 +463,10 @@ CoordinatorReport CoordinatorService::serve(core::Listener& listener) {
 
     // Withdraw a lease: unfinished cells return to the pool, the holder is
     // charged on each cell's poison meter, and a cell that has now failed
-    // under max_lease_attempts distinct workers is quarantined.
+    // under kMaxLeaseAttempts distinct workers is quarantined.
     const auto fail_lease = [&](LinkState& ls, const std::string& why) {
         if (!ls.has_lease) return;
         ++im.report.leases_expired;
-        const std::size_t poison_bar =
-            im.opts.max_lease_attempts < 1 ? 1 : im.opts.max_lease_attempts;
         std::size_t returned = 0;
         for (const std::size_t cell : ls.lease.cells) {
             im.leased.erase(cell);
@@ -475,7 +475,7 @@ CoordinatorReport CoordinatorService::serve(core::Listener& listener) {
             im.scan_hint = std::min(im.scan_hint, cell);
             std::set<std::string>& holders = im.failed_holders[cell];
             holders.insert(ls.holder);
-            if (holders.size() >= poison_bar) {
+            if (holders.size() >= kMaxLeaseAttempts) {
                 im.journal.quarantine(cell, holders.size(),
                                       std::string(core::to_string(core::ErrorCode::kLeaseExpired)) +
                                           " under " + std::to_string(holders.size()) +
@@ -739,12 +739,8 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
     out.worker_crashed.assign(opts.workers, false);
 
     CoordinatorOptions copts;
-    copts.resume = opts.resume;
     copts.crash = opts.coordinator_crash;
     copts.lease_chunk = opts.lease_chunk;
-    copts.lease_deadline_ops = opts.lease_deadline_ops;
-    copts.max_lease_attempts = opts.max_lease_attempts;
-    copts.fs = opts.fs;
     CoordinatorService service(plan, merged_journal_path(scratch), copts);
 
     core::LoopbackListener listener;
@@ -765,13 +761,10 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
     // One worker pass over a possibly-faulty link.  Returns true if the
     // planned link kill fired (SimulatedCrash); other failures propagate.
     const auto run_one = [&](std::size_t shard, const core::TransportFaultPlan& faults,
-                             const std::string& channel, bool resume) -> bool {
+                             const std::string& channel) -> bool {
         WorkerOptions wopts;
-        wopts.jobs = opts.worker_jobs;
-        wopts.resume = resume;
         wopts.retry = opts.retry;
         wopts.ack_timeout_ms = opts.ack_timeout_ms;
-        wopts.fs = opts.fs;
         wopts.reconnect = [&listener]() -> std::unique_ptr<core::Transport> {
             // Reconnects are clean links: the fault plan modelled the first
             // connection's network; a re-dial is the operator's fresh cable.
@@ -808,7 +801,7 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
                                                                ? opts.worker_faults[w]
                                                                : core::TransportFaultPlan{};
                     out.worker_crashed[w] =
-                        run_one(w, faults, "worker." + std::to_string(w), opts.resume);
+                        run_one(w, faults, "worker." + std::to_string(w));
                 } catch (...) {
                     worker_errors[w] = std::current_exception();
                 }
@@ -825,7 +818,7 @@ DistributedOutcome run_distributed(const CensusPlan& plan, const fs::path& scrat
             ++out.worker_restarts;
             try {
                 (void)run_one(w, core::TransportFaultPlan{},
-                              "worker." + std::to_string(w) + ".restart", /*resume=*/true);
+                              "worker." + std::to_string(w) + ".restart");
             } catch (...) {
                 worker_errors[w] = std::current_exception();
             }

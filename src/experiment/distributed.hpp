@@ -75,7 +75,6 @@ struct ShardSpec {
 
 struct WorkerOptions {
     std::size_t jobs = 1;  ///< fan-out when simulating a lease
-    bool resume = true;    ///< reuse cells already in the local journal
     /// Frame resend budget: a CELL frame gets max_attempts tries (sends
     /// swallowed by the link or left unacked past the ack timeout count as
     /// failed attempts).  The backoff fields are not waited out in wall time
@@ -151,10 +150,6 @@ struct CoordinatorOptions {
     /// the budget: a slow-simulating but heartbeating worker keeps the
     /// coordinator alive (corrupt frames do not).
     int idle_give_up_polls = 0;
-    /// Bounded tries for each reply frame swallowed as TransientError by a
-    /// faulty link before the reply is abandoned (the worker's own resend or
-    /// re-pull covers the loss).
-    int reply_attempts = 4;
     /// Cells per lease grant.
     std::size_t lease_chunk = 4;
     /// A lease holder silent for this many coordinator protocol ops (frames
@@ -163,8 +158,6 @@ struct CoordinatorOptions {
     /// never expire (nothing advances the clock), only a worker that stays
     /// silent while the rest of the campaign makes progress.
     std::uint64_t lease_deadline_ops = 1024;
-    /// Distinct failed holders after which a cell is quarantined as poison.
-    std::size_t max_lease_attempts = kMaxLeaseAttempts;
     core::FileSystem* fs = nullptr;
     std::function<void(const std::string&)> log;
 };
@@ -231,24 +224,21 @@ private:
 /// worker threads over loopback links, every link wrapped in a
 /// FaultyTransport.  This is the harness run_distributed-based tests and the
 /// torture campaign drive; the CLI wires the same pieces over unix sockets.
+/// Workers simulate serially and every journal resumes, on the real
+/// filesystem; leases keep the coordinator's default deadline.
 struct DistributedOptions {
     std::size_t workers = 2;
-    std::size_t worker_jobs = 1;
-    bool resume = true;
     /// Per-worker link fault plans; missing entries get a clean plan.
     std::vector<core::TransportFaultPlan> worker_faults;
     CoordinatorCrashPlan coordinator_crash;
     monitoring::CollectorRetryPolicy retry{.max_attempts = 4};
     int ack_timeout_ms = 250;  ///< loopback acks are instant; keep kills fast
     std::size_t lease_chunk = 2;
-    std::uint64_t lease_deadline_ops = 1024;
-    std::size_t max_lease_attempts = kMaxLeaseAttempts;
     /// Restart a worker that died to a planned link crash, once, over a
     /// clean link — the torture harness's "operator reboots the node".
     /// Without it the survivors absorb the dead worker's lease and the
     /// campaign still completes (permanent-death torture).
     bool restart_crashed_workers = false;
-    core::FileSystem* fs = nullptr;  ///< journal I/O seam for every process
 };
 
 struct DistributedOutcome {

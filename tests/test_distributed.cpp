@@ -244,7 +244,6 @@ TEST(RunDistributed, PoisonCellIsQuarantinedAfterMaxLeaseAttempts) {
     opts.workers = 2;
     opts.lease_chunk = 1;  // the poison cell shares its lease with nobody
     opts.restart_crashed_workers = true;
-    opts.max_lease_attempts = 3;
     const DistributedOutcome out = run_distributed(plan, dir, opts);
     // Three distinct workers died on cell 3; it is quarantined, the campaign
     // resolves (no wedge) but is NOT complete — the table would have a hole.

@@ -1,5 +1,7 @@
 #include "core/sim_time.hpp"
 
+#include <climits>
+
 #include <gtest/gtest.h>
 
 #include "core/error.hpp"
@@ -109,7 +111,8 @@ TEST_P(CivilRoundTrip, Inverse) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Years, CivilRoundTrip,
-                         ::testing::Values(1900, 1970, 1999, 2000, 2008, 2010, 2038, 2100));
+                         ::testing::Values(1900, 1970, 1999, 2000, 2008, 2010, 2038, 2100,
+                                           INT_MIN, INT_MAX));
 
 // Property: consecutive days differ by exactly one.
 class ConsecutiveDays : public ::testing::TestWithParam<int> {};

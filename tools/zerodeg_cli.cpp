@@ -538,7 +538,6 @@ int cmd_sweep_worker(const FlagMap& flags, const experiment::CensusPlan& plan) {
 
     experiment::WorkerOptions opts;
     opts.jobs = parse_jobs(flags);
-    opts.resume = true;  // local cells are always worth reusing
     opts.reconnect = dial;
     opts.log = [](const std::string& line) { std::cerr << line << '\n'; };
 
