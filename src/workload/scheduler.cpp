@@ -11,8 +11,28 @@ LoadScheduler::LoadScheduler(core::Simulator& sim, LoadJob job,
       job_(std::move(job)),
       mem_params_(mem_params),
       master_seed_(master_seed),
-      cycle_(cycle) {
+      cycle_(cycle),
+      origin_(sim.now()) {
     if (cycle.count() <= 0) throw core::InvalidArgument("LoadScheduler: bad cycle");
+}
+
+std::uint64_t LoadScheduler::entry_rank(core::TimePoint first) const {
+    // A rank is (group << kOrderBits) | add order.  Hosts added at least a
+    // cycle ahead of their first cycle take group kBehind minus the cycles
+    // from origin_ to it, so a later first cycle ranks first; all others
+    // take kBehind.
+    constexpr unsigned kOrderBits = 24;
+    constexpr std::uint64_t kBehind = std::uint64_t{1} << 38;
+    if (hosts_.size() >> kOrderBits != 0) {
+        throw core::InvalidArgument("LoadScheduler::add_host: too many hosts");
+    }
+    std::uint64_t group = kBehind;
+    if (first - sim_.now() >= cycle_) {
+        const auto cycles = static_cast<std::uint64_t>((first - origin_).count() / cycle_.count());
+        if (cycles >= kBehind) throw core::InvalidArgument("LoadScheduler::add_host: too late");
+        group -= cycles;
+    }
+    return (group << kOrderBits) | hosts_.size();
 }
 
 void LoadScheduler::add_host(HostBinding binding, core::TimePoint first_cycle) {
@@ -24,39 +44,37 @@ void LoadScheduler::add_host(HostBinding binding, core::TimePoint first_cycle) {
     }
     const int id = binding.host_id;
     const std::string tag = std::to_string(id);
+    const core::TimePoint start = first_cycle < sim_.now() ? sim_.now() : first_cycle;
+    const std::uint64_t rank = entry_rank(start);
     HostState state{
         std::move(binding),
         faults::MemoryFaultModel(mem_params_, core::RngStream{master_seed_, "load.mem." + tag}),
         core::RngStream{master_seed_, "load.fuzz." + tag},
+        &stats_.emplace(id, HostLoadStats{}).first->second,
+        rank,
+        start,
         0,
-        false,
     };
-    hosts_.emplace(id, std::move(state));
-    stats_.emplace(id, HostLoadStats{});
-
-    const core::TimePoint start = first_cycle < sim_.now() ? sim_.now() : first_cycle;
-    hosts_.at(id).cycle_event = sim_.schedule_every(
-        start, cycle_,
-        [this, id] {
-            // "each host sleeps for 0 to 119 seconds before commencing"
-            HostState& h = hosts_.at(id);
-            if (h.removed) return;
-            const auto fuzz = core::Duration::seconds(h.fuzz_rng.uniform_int(0, 119));
-            sim_.schedule_in(fuzz, [this, id] { run_cycle(id); });
-        });
+    HostState& h = hosts_.emplace(id, std::move(state)).first->second;
+    h.cycle_event = sim_.schedule_ranked(start + draw_fuzz(h), start, rank,
+                                         [this, &h] { run_cycle(h); });
 }
 
 void LoadScheduler::remove_host(int host_id) {
     const auto it = hosts_.find(host_id);
     if (it == hosts_.end()) throw core::InvalidArgument("LoadScheduler::remove_host: unknown");
-    it->second.removed = true;
     sim_.cancel(it->second.cycle_event);
 }
 
-void LoadScheduler::run_cycle(int host_id) {
-    HostState& h = hosts_.at(host_id);
-    if (h.removed) return;
-    HostLoadStats& st = stats_.at(host_id);
+core::Duration LoadScheduler::draw_fuzz(HostState& h) {
+    // "each host sleeps for 0 to 119 seconds before commencing"
+    return core::Duration::seconds(h.fuzz_rng.uniform_int(0, 119));
+}
+
+void LoadScheduler::run_cycle(HostState& h) {
+    h.cycle_instant += cycle_;
+    sim_.requeue_ranked(h.cycle_instant + draw_fuzz(h), h.cycle_instant, h.rank);
+    HostLoadStats& st = *h.stats;
     if (!h.binding.operational()) {
         ++st.skipped;
         return;
@@ -66,7 +84,7 @@ void LoadScheduler::run_cycle(int host_id) {
     st.page_ops += draw.page_ops;
     st.ecc_corrected += draw.corrected_flips;
     if (draw.damage) {
-        pending_.push_back({sim_.now(), host_id});
+        pending_.push_back({sim_.now(), h.binding.host_id});
         pending_damage_.push_back(std::move(*draw.damage));
     }
 }

@@ -4,6 +4,32 @@
 // avoid synchronization, some fuzz is added to the starting phase: each host
 // sleeps for 0 to 119 seconds before commencing the archival process."
 //
+// One event per cycle.  A host's cycle instants are its first cycle plus
+// whole cycles.  Each run is one event at its cycle instant plus a fuzz drawn
+// from the host's `load.fuzz.<id>` stream, and the first thing a run does is
+// to draw the next fuzz and requeue itself, ranked and as of the next cycle
+// instant (Simulator::requeue_ranked).  add_host pushes the first run the
+// same way (Simulator::schedule_ranked), and remove_host cancels the run.
+//
+// The run order is that of a scheduler with a recurring trigger per host at
+// its cycle instants, which pushes the run when it fires:
+//  - A run is stamped with its cycle instant, so it runs after every event
+//    scheduled before that instant and before every event scheduled after.
+//  - Runs of one instant run in rank order, which is the order those
+//    triggers fire in.  A trigger keeps its place among the hosts already
+//    cycling; a host that is added at least a cycle before its first cycle
+//    goes ahead of all of them (a later install batch before an earlier
+//    one), and a host added less than a cycle before its first cycle, or at
+//    it (the replacement), goes behind them.  Hosts added for the same
+//    instant keep add_host order.
+//  - A ranked run follows the ordinary events of its time and stamp.  The
+//    only ordinary events pushed at a cycle instant that can share a run's
+//    time are collector retries from the sweep: an operator visit or a
+//    replacement pushed then is due at least ten minutes later.  A retry
+//    reads host reachability and writes collector stats; a run reads host
+//    operationality and writes load stats, its memory model and the job.
+//    Neither reads what the other writes, so their order cannot show.
+//
 // A cycle draws in the event loop (LoadJob::draw) and counts its runs, page
 // ops and ECC corrections at once.  A corrupting run is kept as a pending
 // run; the first accessor that reads an outcome (stats, all_stats,
@@ -67,10 +93,10 @@ public:
                   core::Duration cycle = core::Duration::minutes(10));
 
     /// Register a host and start its cycle at `first_cycle` (typically the
-    /// install date).
+    /// install date; a past date starts it now).
     void add_host(HostBinding binding, core::TimePoint first_cycle);
 
-    /// Stop scheduling a host (retirement).
+    /// Stop scheduling a host (retirement): its pending run is cancelled.
     void remove_host(int host_id);
 
     [[nodiscard]] const LoadJob& job() const { return job_; }
@@ -95,8 +121,10 @@ private:
         HostBinding binding;
         faults::MemoryFaultModel memory;
         core::RngStream fuzz_rng;
-        core::EventId cycle_event = 0;
-        bool removed = false;
+        HostLoadStats* stats = nullptr;  ///< this host's node in stats_
+        std::uint64_t rank = 0;          ///< order among runs of one instant
+        core::TimePoint cycle_instant;   ///< of the pending run
+        core::EventId cycle_event = 0;   ///< the run, requeued each cycle
     };
 
     /// Where and when a corrupting run that waits for its verdict ran.
@@ -110,13 +138,17 @@ private:
     faults::MemoryFaultParams mem_params_;
     std::uint64_t master_seed_;
     core::Duration cycle_;
+    core::TimePoint origin_;  ///< sim time at construction
     std::map<int, HostState> hosts_;
     mutable std::map<int, HostLoadStats> stats_;
     mutable std::vector<WrongHashIncident> incidents_;
     mutable std::vector<PendingRun> pending_;
     mutable std::vector<RunDamage> pending_damage_;  ///< pending_[i]'s flips
 
-    void run_cycle(int host_id);
+    /// The rank of a host added now whose first cycle is `first`.
+    [[nodiscard]] std::uint64_t entry_rank(core::TimePoint first) const;
+    [[nodiscard]] static core::Duration draw_fuzz(HostState& h);
+    void run_cycle(HostState& h);
     /// Verify every pending run and book its outcome.
     void settle() const;
 };

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -40,7 +41,9 @@ fs::path short_scratch(const std::string& name) {
 }
 
 /// Launch coordinator + K workers as real processes, wait for all, return
-/// each one's result (coordinator first).
+/// each one's result (coordinator first).  A small campaign can finish
+/// before a worker that starts late finds the socket; --idle-timeout-ms
+/// bounds that worker's dial wait, which is 5 s by default.
 std::vector<zerodeg::test::CommandResult> run_campaign(const fs::path& dir, std::size_t workers,
                                                        const std::string& common,
                                                        const std::string& worker_extra) {
@@ -56,8 +59,8 @@ std::vector<zerodeg::test::CommandResult> run_campaign(const fs::path& dir, std:
         threads.emplace_back([&, w] {
             results[w + 1] =
                 run_cli("sweep --worker --socket " + socket + " --checkpoint " +
-                        (dir / ("w" + std::to_string(w) + ".journal")).string() + " " + common +
-                        " " + worker_extra);
+                        (dir / ("w" + std::to_string(w) + ".journal")).string() +
+                        " --idle-timeout-ms 500 " + common + " " + worker_extra);
         });
     }
     for (std::thread& t : threads) t.join();
@@ -175,6 +178,17 @@ TEST(CliSweep, LossyLinksAreInvisibleInTheMergedJournal) {
         return at == std::string::npos ? out : out.substr(at);
     };
     EXPECT_EQ(table(clean[0].output), table(lossy[0].output));
+
+    // The faults must have fired: a no-op --net-faults passes the checks
+    // above.  A worker that met a fault reports "(D drop(s), R resend(s))".
+    const std::regex tally(R"(\((\d+) drop\(s\), (\d+) resend\(s\)\))");
+    std::uint64_t faults_seen = 0;
+    for (std::size_t w = 1; w < lossy.size(); ++w) {
+        std::smatch m;
+        if (!std::regex_search(lossy[w].output, m, tally)) continue;
+        faults_seen += std::stoull(m[1].str()) + std::stoull(m[2].str());
+    }
+    EXPECT_GT(faults_seen, 0u) << lossy[1].output << lossy[2].output;
     fs::remove_all(clean_dir);
     fs::remove_all(lossy_dir);
 }

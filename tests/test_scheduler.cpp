@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 #include <ostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -214,6 +215,156 @@ TEST(SchedulerSettle, NoisyHostsSettleAlikeStepByStepAndInOneBatch) {
     EXPECT_GT(batched.second.size(), 8u);
     EXPECT_EQ(stepped.first, batched.first);
     EXPECT_EQ(stepped.second, batched.second);
+}
+
+// --- run order: one event per cycle against a trigger per cycle -------------
+
+/// Each cycle's (sim time, host id), in the order the cycles ran.
+using CycleLog = std::vector<std::pair<TimePoint, int>>;
+
+/// The load cycle as two events: a recurring trigger per host at its cycle
+/// instants draws the fuzz from the host's stream and schedules the run.
+/// This is the order LoadScheduler must keep.
+class TwoEventCycles {
+public:
+    TwoEventCycles(Simulator& sim, std::uint64_t master_seed, CycleLog& log)
+        : sim_(sim), master_seed_(master_seed), log_(log) {}
+
+    void add_host(int id, TimePoint first_cycle) {
+        fuzz_.emplace(id, core::RngStream{master_seed_, "load.fuzz." + std::to_string(id)});
+        const TimePoint start = std::max(first_cycle, sim_.now());
+        triggers_[id] = sim_.schedule_every(start, Duration::minutes(10), [this, id] {
+            const auto fuzz = Duration::seconds(fuzz_.at(id).uniform_int(0, 119));
+            sim_.schedule_in(fuzz, [this, id] {
+                if (!removed_.contains(id)) log_.emplace_back(sim_.now(), id);
+            });
+        });
+    }
+
+    void remove_host(int id) {
+        removed_.insert(id);
+        sim_.cancel(triggers_.at(id));
+    }
+
+private:
+    Simulator& sim_;
+    std::uint64_t master_seed_;
+    CycleLog& log_;
+    std::map<int, core::RngStream> fuzz_;
+    std::map<int, core::EventId> triggers_;
+    std::set<int> removed_;
+};
+
+/// A fleet plan: hosts added before the season in plan order, hosts added
+/// at their own first instant mid-season, and removals.
+struct FleetPlan {
+    TimePoint start;
+    TimePoint end;
+    std::vector<std::pair<int, TimePoint>> hosts;          ///< (id, first cycle)
+    std::vector<std::pair<int, TimePoint>> added_at_first;  ///< (id, add time)
+    std::vector<std::pair<int, TimePoint>> removals;        ///< (id, time)
+};
+
+/// Drive `cycles` (LoadScheduler or TwoEventCycles) through `plan`.
+template <class Cycles, class MakeBinding>
+void drive(Simulator& sim, Cycles& cycles, const FleetPlan& plan, MakeBinding binding) {
+    for (const auto& [id, first] : plan.hosts) cycles.add_host(binding(id), first);
+    for (const auto& [id, when] : plan.added_at_first) {
+        sim.schedule_at(when, [&sim, &cycles, binding, id] {
+            cycles.add_host(binding(id), sim.now());
+        });
+    }
+    for (const auto& [id, when] : plan.removals) {
+        sim.schedule_at(when, [&cycles, id] { cycles.remove_host(id); });
+    }
+    sim.run_until(plan.end);
+}
+
+CycleLog scheduler_order(const FleetPlan& plan, std::uint64_t seed) {
+    Simulator sim(plan.start);
+    LoadScheduler sched(sim, small_job(), faults::MemoryFaultParams{}, seed);
+    CycleLog log;
+    drive(sim, sched, plan, [&sim, &log](int id) {
+        return LoadScheduler::HostBinding{id, false, [&sim, &log, id] {
+                                              log.emplace_back(sim.now(), id);
+                                              return true;
+                                          }};
+    });
+    return log;
+}
+
+CycleLog reference_order(const FleetPlan& plan, std::uint64_t seed) {
+    Simulator sim(plan.start);
+    CycleLog log;
+    TwoEventCycles cycles(sim, seed, log);
+    drive(sim, cycles, plan, [](int id) { return id; });
+    return log;
+}
+
+/// Runs of different hosts at one instant: the ties whose order the rank
+/// rule decides.
+std::size_t same_time_pairs(const CycleLog& log) {
+    std::size_t n = 0;
+    for (std::size_t i = 1; i < log.size(); ++i) n += log[i].first == log[i - 1].first;
+    return n;
+}
+
+/// Empty when the logs are equal, else where they first part.
+std::string first_difference(const CycleLog& got, const CycleLog& want) {
+    const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    if (g == got.end() && w == want.end()) return "";
+    const auto show = [](const CycleLog& log, CycleLog::const_iterator it) {
+        return it == log.end() ? std::string("the end")
+                               : "host " + std::to_string(it->second) + " at " +
+                                     it->first.to_string();
+    };
+    return "cycle " + std::to_string(g - got.begin()) + ": got " + show(got, g) + ", want " +
+           show(want, w);
+}
+
+TEST(SchedulerOrder, DefaultSeasonRunsInTriggerOrder) {
+    // The default seed, and two seeds whose seasons start a host with fuzz 0
+    // at its first cycle (host 10 at its 2010-02-25 install under 20100228,
+    // host 4 at the season start under 20100235).
+    for (const std::uint64_t seed :
+         {experiment::ExperimentConfig{}.master_seed, std::uint64_t{20100228},
+          std::uint64_t{20100235}}) {
+        SCOPED_TRACE(seed);
+        experiment::ExperimentConfig config;
+        config.master_seed = seed;
+        experiment::ExperimentRunner run(config);
+        run.run();
+        FleetPlan plan{config.start, config.end, {}, {}, {}};
+        for (const hardware::HostRecord& rec : run.fleet().hosts()) {
+            auto& into = rec.replaces_id != 0 ? plan.added_at_first : plan.hosts;
+            into.emplace_back(rec.server->id(), rec.install_date);
+        }
+        const CycleLog want = reference_order(plan, seed);
+        EXPECT_GT(same_time_pairs(want), 100u);
+        EXPECT_EQ(first_difference(scheduler_order(plan, seed), want), "");
+    }
+}
+
+TEST(SchedulerOrder, InstallBatchesReplacementAndRemovalRunInTriggerOrder) {
+    const TimePoint start = TimePoint::from_date(2010, 2, 19);
+    FleetPlan plan{start, start + Duration::days(9), {}, {}, {}};
+    // Three install batches, added in an order that is not their date
+    // order; the first is already installed when the season starts.
+    for (int id = 1; id <= 5; ++id) plan.hosts.emplace_back(id, start - Duration::days(3));
+    for (int id = 6; id <= 10; ++id) plan.hosts.emplace_back(id, start + Duration::days(5));
+    for (int id = 11; id <= 15; ++id) plan.hosts.emplace_back(id, start + Duration::days(2));
+    // A replacement at its own first instant, on the cycle grid and off it.
+    plan.added_at_first.emplace_back(16, start + Duration::days(3) + Duration::minutes(30));
+    plan.added_at_first.emplace_back(17, start + Duration::days(6) + Duration::seconds(77));
+    // A retirement with a run pending, then one mid-fuzz.
+    plan.removals.emplace_back(7, start + Duration::days(6) + Duration::minutes(5));
+    plan.removals.emplace_back(2, start + Duration::days(7) + Duration::seconds(30));
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        const CycleLog want = reference_order(plan, seed);
+        EXPECT_GT(same_time_pairs(want), 20u);
+        EXPECT_EQ(first_difference(scheduler_order(plan, seed), want), "");
+    }
 }
 
 }  // namespace
